@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race check cover bench bench-full bench-json bench-smoke bench-online bench-throughput bench-scale bench-repart experiments transport-race transport-smoke server-smoke scale-smoke repart-smoke oracle oracle-race update-race repart-race sparql11-race clean
+.PHONY: all build test test-race check cover bench bench-full bench-json bench-smoke bench-online bench-throughput bench-scale bench-repart benchmark experiments transport-race transport-smoke server-smoke scale-smoke repart-smoke oracle oracle-race update-race repart-race sparql11-race clean
 
 all: build test
 
@@ -59,6 +59,13 @@ bench-scale:
 # the run also demonstrates the cap being restored.
 bench-repart:
 	$(GO) run ./cmd/mpc-bench -exp repart -triples 20000 -k 8 -json BENCH_repart.json
+
+# The repo benchmark (BENCHMARK.json): the four workloads over the real
+# serving path and the offline pipeline, as the PR driver runs it. Takes
+# a few minutes; see benchmark/README.md for single workloads, the
+# traced per-layer pass and -selfcheck.
+benchmark:
+	bash benchmark/run.sh
 
 # Every Benchmark function once (-benchtime=1x): catches bit-rot in
 # benchmark-only code without paying for real measurements.
@@ -117,8 +124,9 @@ repart-race:
 		./internal/partition/ ./internal/cluster/ ./internal/transport/ \
 		./internal/store/ ./internal/repart/ ./internal/oracle/
 
-# End-to-end loopback smoke: real mpc-site processes, bootstrap over TCP,
-# a join query through mpc-query -sites, measured wire stats asserted.
+# End-to-end loopback smoke: real mpc-site processes serving exported
+# snapshots, a join query through mpc-query -sites, measured wire stats
+# asserted, a mismatched coordinator refused at connect time.
 transport-smoke:
 	bash scripts/transport_smoke.sh
 

@@ -13,8 +13,9 @@
 // offline experiment sweeps the -workers knob over {1, 2, NumCPU}; the
 // online experiment measures the query path (latency quantiles per
 // executability class and per operator class — the GQ1–GQ6 generalized
-// queries ride along with each dataset's workload — plus join shapes and
-// allocation microbenchmarks); the throughput experiment
+// queries ride along with each dataset's workload — plus join shapes,
+// allocation microbenchmarks, and a transport section that re-runs every
+// combination over loopback TCP sites); the throughput experiment
 // drives serial, closed-loop, and open-loop load through the concurrent
 // serving stack (scheduler + result cache + pipelined transport over
 // loopback TCP); the scale experiment serves the same MPC layout from
@@ -53,7 +54,6 @@ func main() {
 	logQueries := flag.Int("logqueries", 200, "query-log sample size")
 	scales := flag.String("scales", "25000,50000,100000", "comma-separated scales for fig9/fig10")
 	workers := flag.Int("workers", 0, "worker count for parallel offline phases (0 = NumCPU, 1 = serial)")
-	sites := flag.String("sites", "", "comma-separated mpc-site addresses; the online experiment then re-runs every combination over these real processes and records a transport section (count must equal -k)")
 	jsonPath := flag.String("json", "", "output path for the offline/online experiment's JSON (default BENCH_<exp>.json)")
 	metricsPath := flag.String("metrics", "", "dump the metrics registry as JSON to this path after the run (\"-\" = stdout)")
 	obsListen := flag.String("obs-listen", "", "serve /debug/metrics and /debug/pprof on this address (e.g. localhost:6060)")
@@ -77,13 +77,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "[metrics at http://%s/debug/metrics, profiles at http://%s/debug/pprof/]\n", addr, addr)
-	}
-	if *sites != "" {
-		for _, a := range strings.Split(*sites, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				cfg.Sites = append(cfg.Sites, a)
-			}
-		}
 	}
 	for _, s := range strings.Split(*scales, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(s))

@@ -3,19 +3,21 @@
 // class, the per-stage times (QDT/LET/JT) and the results.
 //
 // The cluster is in-process by default (sites as goroutines, shipping
-// simulated). With -sites the same partitioning runs over real mpc-site
-// processes: the coordinator bootstraps each site over TCP and the
-// reported network numbers are measured, not simulated.
+// simulated). With -sites the query runs over real mpc-site processes
+// serving the snapshots mpc-partition -export-snapshots wrote: load the
+// same input, reproduce the same layout (-assign, or the same -k/-seed/
+// -strategy), and the reported network numbers are measured, not
+// simulated. A layout that does not match what the sites serve is refused
+// at connect time.
 //
 // Usage:
 //
 //	mpc-query -in lubm.nt -k 8 -strategy MPC -query 'SELECT ?x WHERE { ... }'
 //	mpc-query -in lubm.nt -query-file q.rq -limit 20
-//	mpc-query -in lubm.nt -sites :7070,:7071,:7072,:7073 -query-file q.rq
+//	mpc-query -in lubm.nt -assign parts/assignment.txt -sites :7070,:7071,:7072,:7073 -query-file q.rq
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -44,8 +46,7 @@ func main() {
 	assign := flag.String("assign", "", "reuse a saved vertex assignment (assignment.txt from mpc-partition) instead of partitioning")
 	semijoin := flag.Bool("semijoin", false, "enable the distributed semijoin reduction for inter-partition joins")
 	partialEval := flag.Bool("partial-eval", false, "use the partitioning-agnostic gStoreD-style partial-evaluation engine (vertex-disjoint strategies only, in-process only)")
-	sites := flag.String("sites", "", "comma-separated mpc-site addresses; when set, the query runs against these processes instead of in-process stores (their count overrides -k)")
-	noBootstrap := flag.Bool("no-bootstrap", false, "with -sites: assume the sites already hold their partitions (mpc-site -snapshot) and skip the bootstrap upload")
+	sites := flag.String("sites", "", "comma-separated mpc-site addresses (each serving its -snapshot of this layout); when set, the query runs against these processes instead of in-process stores (their count overrides -k)")
 	digest := flag.Bool("digest", false, "print the canonical result digest (oracle.Canonicalize; equal digests mean bit-identical result sets)")
 	flag.Parse()
 
@@ -53,13 +54,13 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(*in, *k, *epsilon, *strategy, *queryStr, *queryFile, *limit, *seed, *assign, *semijoin, *partialEval, *sites, *noBootstrap, *digest); err != nil {
+	if err := run(*in, *k, *epsilon, *strategy, *queryStr, *queryFile, *limit, *seed, *assign, *semijoin, *partialEval, *sites, *digest); err != nil {
 		fmt.Fprintln(os.Stderr, "mpc-query:", err)
 		os.Exit(1)
 	}
 }
 
-func run(in string, k int, epsilon float64, strategy, queryStr, queryFile string, limit int, seed int64, assignPath string, semijoin, partialEval bool, sites string, noBootstrap, digest bool) error {
+func run(in string, k int, epsilon float64, strategy, queryStr, queryFile string, limit int, seed int64, assignPath string, semijoin, partialEval bool, sites string, digest bool) error {
 	if queryFile != "" {
 		data, err := os.ReadFile(queryFile)
 		if err != nil {
@@ -148,13 +149,8 @@ func run(in string, k int, epsilon float64, strategy, queryStr, queryFile string
 			return err
 		}
 		defer transport.CloseAll(clients)
-		if noBootstrap {
-			fmt.Fprintf(os.Stderr, "skipping bootstrap: %d sites serve their own snapshots\n", len(clients))
-		} else {
-			fmt.Fprintf(os.Stderr, "bootstrapping %d sites...\n", len(clients))
-			if err := transport.Bootstrap(context.Background(), clients, layout); err != nil {
-				return err
-			}
+		if err := transport.Verify(clients, layout); err != nil {
+			return err
 		}
 		c, err = cluster.NewWithSites(layout, crossing, cfg, transport.Sites(clients))
 		if err != nil {

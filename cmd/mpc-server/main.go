@@ -1,6 +1,8 @@
 // Command mpc-server is the high-throughput HTTP/SPARQL serving frontend:
 // it loads a graph, partitions it, builds a cluster (in-process sites by
-// default, real mpc-site processes with -sites), and serves concurrent
+// default; with -sites, real mpc-site processes serving the snapshots
+// mpc-partition -export-snapshots wrote for the same input, -k, -seed and
+// -strategy — checked at connect time), and serves concurrent
 // queries through the internal/serve scheduler — bounded worker pool,
 // admission control with fast 429 rejection, plan reuse, and an optional
 // digest-keyed result cache.
@@ -83,7 +85,7 @@ func main() {
 	strategy := flag.String("strategy", "MPC", "MPC, Subject_Hash, METIS, or VP")
 	seed := flag.Int64("seed", 1, "seed for randomized phases")
 	semijoin := flag.Bool("semijoin", false, "enable the distributed semijoin reduction")
-	sites := flag.String("sites", "", "comma-separated mpc-site addresses; when set, queries run against these processes (their count overrides -k)")
+	sites := flag.String("sites", "", "comma-separated mpc-site addresses (each serving its -snapshot of this layout); when set, queries run against these processes (their count overrides -k)")
 	workers := flag.Int("workers", 8, "concurrent query executions")
 	queue := flag.Int("queue", 64, "admission queue depth; a full queue rejects with 429")
 	cacheMB := flag.Int("cache-mb", 64, "result cache budget in MiB (0 disables the cache)")
@@ -129,68 +131,11 @@ func run(listen, in string, k int, epsilon float64, strategy string, seed int64,
 		k = len(addrs)
 	}
 
-	opts := partition.Options{K: k, Epsilon: epsilon, Seed: seed}
-	cfg := cluster.Config{Semijoin: semijoin, Obs: reg, BalanceEpsilon: epsilon}
-	var layout partition.SiteLayout
-	var crossing sparql.CrossingTest
-	switch strategy {
-	case "MPC":
-		p, err := (core.MPC{}).Partition(g, opts)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "MPC partitioning: %s\n", p.Summary())
-		layout = p
-		crossing = func(prop string) bool {
-			id, ok := g.Properties.Lookup(prop)
-			if !ok {
-				return false
-			}
-			return p.IsCrossingProperty(rdf.PropertyID(id))
-		}
-	case "Subject_Hash":
-		p, err := (partition.SubjectHash{}).Partition(g, opts)
-		if err != nil {
-			return err
-		}
-		layout, cfg.Mode = p, cluster.ModeStarOnly
-	case "METIS":
-		p, err := (partition.MinEdgeCut{}).Partition(g, opts)
-		if err != nil {
-			return err
-		}
-		layout, cfg.Mode = p, cluster.ModeStarOnly
-	case "VP":
-		l, err := (partition.VP{}).Partition(g, opts)
-		if err != nil {
-			return err
-		}
-		layout, cfg.Mode = l, cluster.ModeVP
-	default:
-		return fmt.Errorf("unknown strategy %q", strategy)
+	c, closeSites, err := buildCluster(g, k, epsilon, strategy, seed, semijoin, addrs, reg)
+	if err != nil {
+		return err
 	}
-
-	var c *cluster.Cluster
-	if len(addrs) > 0 {
-		clients, err := transport.Connect(addrs, transport.ClientOptions{Obs: reg})
-		if err != nil {
-			return err
-		}
-		defer transport.CloseAll(clients)
-		fmt.Fprintf(os.Stderr, "bootstrapping %d sites...\n", len(clients))
-		if err := transport.Bootstrap(context.Background(), clients, layout); err != nil {
-			return err
-		}
-		c, err = cluster.NewWithSites(layout, crossing, cfg, transport.Sites(clients))
-		if err != nil {
-			return err
-		}
-	} else {
-		c, err = cluster.New(layout, crossing, cfg)
-		if err != nil {
-			return err
-		}
-	}
+	defer closeSites()
 
 	var cache *qcache.Cache
 	if cacheMB > 0 {
@@ -292,6 +237,73 @@ func run(listen, in string, k int, epsilon float64, strategy string, seed int64,
 		defer cancel()
 		return srv.Shutdown(ctx)
 	}
+}
+
+// buildCluster partitions g with the named strategy and assembles the
+// cluster over it: in-process stores, or — given site addresses — clients
+// of mpc-site processes, verified to serve exactly this layout. The
+// returned function releases the clients.
+func buildCluster(g *rdf.Graph, k int, epsilon float64, strategy string, seed int64,
+	semijoin bool, addrs []string, reg *obs.Registry) (*cluster.Cluster, func(), error) {
+	opts := partition.Options{K: k, Epsilon: epsilon, Seed: seed}
+	cfg := cluster.Config{Semijoin: semijoin, Obs: reg, BalanceEpsilon: epsilon}
+	var layout partition.SiteLayout
+	var crossing sparql.CrossingTest
+	switch strategy {
+	case "MPC":
+		p, err := (core.MPC{}).Partition(g, opts)
+		if err != nil {
+			return nil, nil, err
+		}
+		fmt.Fprintf(os.Stderr, "MPC partitioning: %s\n", p.Summary())
+		layout = p
+		crossing = func(prop string) bool {
+			id, ok := g.Properties.Lookup(prop)
+			if !ok {
+				return false
+			}
+			return p.IsCrossingProperty(rdf.PropertyID(id))
+		}
+	case "Subject_Hash":
+		p, err := (partition.SubjectHash{}).Partition(g, opts)
+		if err != nil {
+			return nil, nil, err
+		}
+		layout, cfg.Mode = p, cluster.ModeStarOnly
+	case "METIS":
+		p, err := (partition.MinEdgeCut{}).Partition(g, opts)
+		if err != nil {
+			return nil, nil, err
+		}
+		layout, cfg.Mode = p, cluster.ModeStarOnly
+	case "VP":
+		l, err := (partition.VP{}).Partition(g, opts)
+		if err != nil {
+			return nil, nil, err
+		}
+		layout, cfg.Mode = l, cluster.ModeVP
+	default:
+		return nil, nil, fmt.Errorf("unknown strategy %q", strategy)
+	}
+
+	if len(addrs) == 0 {
+		c, err := cluster.New(layout, crossing, cfg)
+		return c, func() {}, err
+	}
+	clients, err := transport.Connect(addrs, transport.ClientOptions{Obs: reg})
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := transport.Verify(clients, layout); err != nil {
+		transport.CloseAll(clients)
+		return nil, nil, err
+	}
+	c, err := cluster.NewWithSites(layout, crossing, cfg, transport.Sites(clients))
+	if err != nil {
+		transport.CloseAll(clients)
+		return nil, nil, err
+	}
+	return c, func() { transport.CloseAll(clients) }, nil
 }
 
 // queryResponse is the JSON shape of one /query answer.

@@ -1,20 +1,28 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"mpc/internal/cluster"
+	"mpc/internal/core"
+	"mpc/internal/datagen"
+	"mpc/internal/dataio"
 	"mpc/internal/obs"
 	"mpc/internal/partition"
 	"mpc/internal/qcache"
 	"mpc/internal/rdf"
 	"mpc/internal/serve"
+	"mpc/internal/sparql"
+	"mpc/internal/store"
+	"mpc/internal/transport"
 )
 
 // TestRetryAfterSeconds pins the 429 hint to the observed p50 of
@@ -189,5 +197,101 @@ func TestUpdateHandler(t *testing.T) {
 	uh.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/update", strings.NewReader("[]")))
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("empty batch = %d, want 400", rec.Code)
+	}
+}
+
+// TestSitesStayMapped drives the deployment the CLIs document —
+// mpc-partition -export-snapshots → mpc-site -snapshot → mpc-server -sites —
+// through the functions those commands call, and checks the coordinator
+// serves from the sites as it finds them: the stores the site processes
+// mapped answer the queries and absorb the updates (nothing is re-shipped
+// or rebuilt on the heap), and a coordinator whose layout differs from the
+// exported one is refused at connect time.
+func TestSitesStayMapped(t *testing.T) {
+	const k, epsilon, seed = 3, 0.1, 1
+	dir := t.TempDir()
+	in := filepath.Join(dir, "g.nt")
+	if err := dataio.SaveFile(in, datagen.LUBM{}.Generate(4000, 1)); err != nil {
+		t.Fatal(err)
+	}
+
+	// mpc-partition -export-snapshots
+	g, err := dataio.LoadFile(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := (core.MPC{}).Partition(g, partition.Options{K: k, Epsilon: epsilon, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths, err := dataio.SaveSiteSnapshots(filepath.Join(dir, "part"), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// mpc-site -snapshot, one per site
+	siteReg := obs.NewRegistry()
+	stores := make([]*store.Store, len(paths))
+	for i, path := range paths {
+		if stores[i], err = dataio.OpenSiteStore(path); err != nil {
+			t.Fatal(err)
+		}
+		defer stores[i].Close()
+		stores[i].Instrument(siteReg)
+	}
+	addrs, closeSites, err := transport.ServeLoopback(stores, siteReg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeSites()
+	held := func() (n int) {
+		for _, st := range stores {
+			n += st.NumTriples()
+		}
+		return n
+	}
+
+	// mpc-server -sites with the wrong strategy: refused, naming a site.
+	if _, _, err := buildCluster(g, k, epsilon, "Subject_Hash", seed, false, addrs, nil); err == nil ||
+		!strings.Contains(err.Error(), "site 0") {
+		t.Fatalf("coordinator with another layout: got %v, want a connect-time refusal naming site 0", err)
+	}
+
+	// mpc-server -sites with the exported layout.
+	gs, err := dataio.LoadFile(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, closeClients, err := buildCluster(gs, k, epsilon, "MPC", seed, false, addrs, obs.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeClients()
+
+	q := sparql.MustParse(`SELECT ?x ?y WHERE { ?x <http://lubm.example.org/univ#advisor> ?y . ?y <http://lubm.example.org/univ#worksFor> ?d }`)
+	res, err := c.Execute(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Table.Len() == 0 {
+		t.Fatal("join query returned no rows")
+	}
+	before := held()
+	if _, err := c.Apply(context.Background(), []rdf.Op{
+		{Insert: true, S: "<urn:t:a>", P: "<urn:t:p>", O: "<urn:t:b>"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	for i, st := range stores {
+		if !st.Mapped() {
+			t.Errorf("site %d no longer serves its mapped snapshot", i)
+		}
+	}
+	if n := siteReg.Snapshot().Counters["store.match_calls"]; n == 0 {
+		t.Error("the mapped stores evaluated no subquery: the sites answered from something else")
+	}
+	if after := held(); after <= before {
+		t.Errorf("the mapped stores hold %d triples after an insert, %d before: the update went elsewhere", after, before)
 	}
 }

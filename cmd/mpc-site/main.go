@@ -1,18 +1,18 @@
 // Command mpc-site runs one site of an MPC cluster as its own process: a
 // TCP server (internal/transport) that holds one partition's triple store
 // and evaluates the subqueries a coordinator (mpc-query -sites,
-// mpc-bench -sites) sends it.
+// mpc-server -sites) sends it.
 //
-// A site can start empty and be bootstrapped over the wire — the
-// coordinator ships the shared-dictionary graph snapshot and the site's
-// triple set — or preloaded from disk:
+// A site is a store: it serves the per-site snapshot it is started with,
+// memory-mapped, and nothing else. The bring-up of a cluster is
 //
-//	mpc-site -listen :7070                          # bootstrap over the wire
-//	mpc-site -listen :7070 -graph lubm.mpcg         # graph preloaded, triples over the wire
-//	mpc-site -listen :7070 -snapshot part.site0.mpcg # serve a per-site snapshot immediately
+//	mpc-partition -in lubm.nt -out parts/ -k 4 -export-snapshots
+//	mpc-site -listen :7070 -snapshot parts/part.site0.mpcg      # one per site
+//	mpc-query -in lubm.nt -assign parts/assignment.txt -sites :7070,... -query ...
 //
-// Per-site snapshots come from mpc-partition -export-snapshots; they carry
-// the full shared dictionaries, so bindings stay comparable across sites.
+// The snapshots carry the full shared dictionaries, so bindings stay
+// comparable across sites; the coordinator must load the same input and
+// layout the snapshots were exported from, and checks so when it connects.
 //
 // On SIGINT/SIGTERM the site drains: it stops accepting work, finishes
 // in-flight requests (bounded by -drain-timeout), then exits.
@@ -28,35 +28,33 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"mpc/internal/dataio"
 	"mpc/internal/obs"
-	"mpc/internal/rdf"
-	"mpc/internal/store"
 	"mpc/internal/transport"
 )
 
 func main() {
 	listen := flag.String("listen", ":7070", "address to listen on")
-	graphPath := flag.String("graph", "", "preload the shared graph snapshot (.mpcg); the coordinator then only ships triple indices")
-	snapshotPath := flag.String("snapshot", "", "serve this per-site snapshot (.mpcg) immediately, no bootstrap needed")
+	snapshotPath := flag.String("snapshot", "", "per-site block snapshot to serve (part.site<i>.mpcg from mpc-partition -export-snapshots; required)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long to wait for in-flight requests on shutdown")
 	obsListen := flag.String("obs-listen", "", "serve /debug/metrics and /debug/pprof on this address (e.g. localhost:6060)")
 	flag.Parse()
 
-	if err := run(*listen, *graphPath, *snapshotPath, *drainTimeout, *obsListen); err != nil {
+	if *snapshotPath == "" {
+		fmt.Fprintln(os.Stderr, "mpc-site: -snapshot is required: a site serves the snapshot mpc-partition -export-snapshots wrote for it")
+		flag.Usage()
+		os.Exit(2)
+	}
+	if err := run(*listen, *snapshotPath, *drainTimeout, *obsListen); err != nil {
 		fmt.Fprintln(os.Stderr, "mpc-site:", err)
 		os.Exit(1)
 	}
 }
 
-func run(listen, graphPath, snapshotPath string, drainTimeout time.Duration, obsListen string) error {
-	if graphPath != "" && snapshotPath != "" {
-		return fmt.Errorf("-graph and -snapshot are mutually exclusive")
-	}
+func run(listen, snapshotPath string, drainTimeout time.Duration, obsListen string) error {
 	reg := obs.NewRegistry()
 	if obsListen != "" {
 		_, addr, err := reg.Serve(obsListen)
@@ -66,39 +64,20 @@ func run(listen, graphPath, snapshotPath string, drainTimeout time.Duration, obs
 		fmt.Fprintf(os.Stderr, "[metrics at http://%s/debug/metrics, profiles at http://%s/debug/pprof/]\n", addr, addr)
 	}
 
-	opts := transport.ServerOptions{Obs: reg}
-	switch {
-	case graphPath != "":
-		g, err := loadSnapshot(graphPath)
-		if err != nil {
-			return err
-		}
-		opts.Graph = g
-		fmt.Fprintf(os.Stderr, "preloaded graph %s, awaiting triple-set bootstrap\n", g.Stats())
-	case snapshotPath != "":
-		st, err := openSiteStore(snapshotPath)
-		if err != nil {
-			return err
-		}
-		defer st.Close()
-		st.Instrument(reg)
-		opts.Graph = st.Graph()
-		opts.Store = st
-		if st.Mapped() {
-			fmt.Fprintf(os.Stderr, "serving mapped block snapshot: %d triples, %d vertices, %d properties\n",
-				st.NumTriples(), st.Graph().NumVertices(), st.Graph().NumProperties())
-		} else {
-			fmt.Fprintf(os.Stderr, "serving snapshot %s\n", st.Graph().Stats())
-		}
-	default:
-		fmt.Fprintln(os.Stderr, "starting empty, awaiting bootstrap")
+	st, err := dataio.OpenSiteStore(snapshotPath)
+	if err != nil {
+		return err
 	}
+	defer st.Close()
+	st.Instrument(reg)
+	fmt.Fprintf(os.Stderr, "serving mapped block snapshot: %d triples, %d vertices, %d properties\n",
+		st.NumTriples(), st.Graph().NumVertices(), st.Graph().NumProperties())
 
 	l, err := net.Listen("tcp", listen)
 	if err != nil {
 		return err
 	}
-	srv := transport.NewServer(opts)
+	srv := transport.NewServer(transport.ServerOptions{Store: st, Obs: reg})
 	fmt.Fprintf(os.Stderr, "listening on %s\n", l.Addr())
 
 	errCh := make(chan error, 1)
@@ -118,24 +97,4 @@ func run(listen, graphPath, snapshotPath string, drainTimeout time.Duration, obs
 		}
 		return <-errCh
 	}
-}
-
-// loadSnapshot loads an .mpcg file, rejecting other formats early: a site
-// must share the coordinator's dictionaries, which only snapshots carry.
-func loadSnapshot(path string) (*rdf.Graph, error) {
-	if !strings.HasSuffix(path, dataio.SnapshotExt) {
-		return nil, fmt.Errorf("%s: sites load %s snapshots (mpc-gen or mpc-partition -export-snapshots), not N-Triples", path, dataio.SnapshotExt)
-	}
-	return dataio.LoadFile(path)
-}
-
-// openSiteStore opens a per-site snapshot as a serving store. Version 3
-// block snapshots are memory-mapped — the process heap holds only the
-// dictionaries and the block directory, and query evaluation pages block
-// payloads in on demand — while v1/v2 snapshots load into the heap.
-func openSiteStore(path string) (*store.Store, error) {
-	if !strings.HasSuffix(path, dataio.SnapshotExt) {
-		return nil, fmt.Errorf("%s: sites load %s snapshots (mpc-gen or mpc-partition -export-snapshots), not N-Triples", path, dataio.SnapshotExt)
-	}
-	return dataio.OpenSiteStore(path)
 }

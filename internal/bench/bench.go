@@ -52,13 +52,6 @@ type Config struct {
 	// from every partitioner and cluster the runners build. It never changes
 	// results; see internal/obs.
 	Obs *obs.Registry
-	// Sites lists mpc-site addresses (host:port). When non-empty, the
-	// online experiment additionally runs every combination against these
-	// real processes — bootstrapping each site over TCP per combination —
-	// and records a transport section: digest verification against the
-	// in-process cluster, measured bytes shipped, and RPC latency
-	// quantiles. len(Sites) must equal K.
-	Sites []string
 }
 
 func (c Config) withDefaults() Config {

@@ -80,10 +80,9 @@ type OnlineResult struct {
 	Repeats int           `json:"repeats"`
 	Combos  []OnlineCombo `json:"combos"`
 	Micro   []OnlineMicro `json:"micro"`
-	// Transport is present only when the run was given real mpc-site
-	// processes (Config.Sites): every combination re-run over the wire,
+	// Transport is every combination re-run over loopback TCP sites:
 	// verified bit-identical, with measured traffic and RPC quantiles.
-	Transport *TransportSection `json:"transport,omitempty"`
+	Transport TransportSection `json:"transport"`
 }
 
 // onlineStrategies is the lineup the online experiment compares: the paper's
@@ -107,12 +106,6 @@ func RunOnline(cfg Config) (*OnlineResult, error) {
 		Epsilon: cfg.Epsilon,
 		Seed:    cfg.Seed,
 		Repeats: onlineRepeats,
-	}
-	if len(cfg.Sites) > 0 {
-		if len(cfg.Sites) != cfg.K {
-			return nil, fmt.Errorf("online: %d sites for k=%d (they must match)", len(cfg.Sites), cfg.K)
-		}
-		res.Transport = &TransportSection{Sites: cfg.Sites}
 	}
 	for _, gen := range []datagen.Generator{datagen.LUBM{}, datagen.WatDiv{}} {
 		g := gen.Generate(cfg.Triples, cfg.Seed)
@@ -148,13 +141,11 @@ func RunOnline(cfg Config) (*OnlineResult, error) {
 			combo.Joins = joinShape(snap)
 			res.Combos = append(res.Combos, combo)
 
-			if res.Transport != nil {
-				tc, err := runTransportCombo(cfg, built[0], gen.Name(), queries)
-				if err != nil {
-					return nil, fmt.Errorf("online transport %s/%s: %w", gen.Name(), strat, err)
-				}
-				res.Transport.Combos = append(res.Transport.Combos, tc)
+			tc, err := runTransportCombo(built[0], gen.Name(), queries)
+			if err != nil {
+				return nil, fmt.Errorf("online transport %s/%s: %w", gen.Name(), strat, err)
 			}
+			res.Transport.Combos = append(res.Transport.Combos, tc)
 
 			// Microbenchmark representative queries end to end on the MPC
 			// cluster only: one join-heavy (decomposed) query and one
@@ -340,7 +331,7 @@ func RenderOnline(w io.Writer, res *OnlineResult) {
 			"probe_p50", "probe_p95", "out_p50", "out_p95", "shipped"},
 		cells)
 
-	RenderTransport(w, res.Transport)
+	RenderTransport(w, &res.Transport)
 
 	if len(res.Micro) > 0 {
 		micro := append([]OnlineMicro(nil), res.Micro...)

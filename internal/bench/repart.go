@@ -18,7 +18,6 @@ import (
 	"mpc/internal/oracle"
 	"mpc/internal/rdf"
 	"mpc/internal/repart"
-	"mpc/internal/transport"
 	"mpc/internal/workload"
 )
 
@@ -103,7 +102,7 @@ type RepartResult struct {
 }
 
 // RunRepart measures online adaptive repartitioning end to end on real
-// loopback TCP sites (or Config.Sites): an MPC-partitioned LUBM cluster is
+// loopback TCP sites: an MPC-partitioned LUBM cluster is
 // drifted with live updates until the repartitioning policy triggers, then
 // repartitioned by the background repartitioner while concurrent clients
 // keep querying. The experiment records the drift, the policy's reason, the
@@ -133,34 +132,13 @@ func RunRepart(cfg Config) (*RepartResult, error) {
 	}
 	bc := built[0]
 
-	addrs := cfg.Sites
-	if len(addrs) == 0 {
-		var closeSites func()
-		addrs, closeSites, err = spawnLoopbackSites(cfg.K)
-		if err != nil {
-			return nil, err
-		}
-		defer closeSites()
-	} else if len(addrs) != cfg.K {
-		return nil, fmt.Errorf("repart: %d sites for k=%d (they must match)", len(addrs), cfg.K)
-	}
-	res.Sites = addrs
-
 	reg := obs.NewRegistry()
-	clients, err := transport.Connect(addrs, transport.ClientOptions{Obs: reg})
+	remote, addrs, closeSites, err := loopbackCluster(bc, cluster.Config{BalanceEpsilon: cfg.Epsilon}, reg)
 	if err != nil {
 		return nil, err
 	}
-	defer transport.CloseAll(clients)
-	if err := transport.Bootstrap(ctx, clients, bc.layout); err != nil {
-		return nil, err
-	}
-	remote, err := cluster.NewWithSites(bc.layout, bc.crossing,
-		cluster.Config{Mode: bc.mode, BalanceEpsilon: cfg.Epsilon, Obs: reg},
-		transport.Sites(clients))
-	if err != nil {
-		return nil, err
-	}
+	defer closeSites()
+	res.Sites = addrs
 
 	// Phase 1: drift through the live-update path until the crossing-edge
 	// growth criterion fires. The full policy (cap + growth) decides the

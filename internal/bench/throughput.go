@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
 	"os"
 	"runtime"
 	"sync"
@@ -19,7 +18,6 @@ import (
 	"mpc/internal/oracle"
 	"mpc/internal/qcache"
 	"mpc/internal/serve"
-	"mpc/internal/transport"
 	"mpc/internal/workload"
 )
 
@@ -107,7 +105,7 @@ type ThroughputResult struct {
 }
 
 // RunThroughput measures concurrent serving end to end: an MPC-partitioned
-// LUBM graph behind real loopback TCP sites (or Config.Sites when given),
+// LUBM graph behind real loopback TCP sites,
 // a Zipf-skewed workload, and three load phases over the same remote
 // cluster — a serial one-query-at-a-time baseline, 16 closed-loop clients
 // through the serve.Scheduler with the result cache, and an open-loop phase
@@ -147,35 +145,14 @@ func RunThroughput(cfg Config) (*ThroughputResult, error) {
 		golden[i] = oracle.Canonicalize(out.Table).Digest()
 	}
 
-	// Real sites: external processes when configured, loopback servers
-	// otherwise. Either way the queries travel over the pipelined TCP
-	// transport.
-	addrs := cfg.Sites
-	if len(addrs) == 0 {
-		var closeSites func()
-		addrs, closeSites, err = spawnLoopbackSites(cfg.K)
-		if err != nil {
-			return nil, err
-		}
-		defer closeSites()
-	} else if len(addrs) != cfg.K {
-		return nil, fmt.Errorf("throughput: %d sites for k=%d (they must match)", len(addrs), cfg.K)
+	// The same stores behind loopback servers: the queries travel over the
+	// pipelined TCP transport.
+	remote, addrs, closeSites, err := loopbackCluster(bc, cluster.Config{}, nil)
+	if err != nil {
+		return nil, err
 	}
+	defer closeSites()
 	res.Sites = addrs
-
-	clients, err := transport.Connect(addrs, transport.ClientOptions{})
-	if err != nil {
-		return nil, err
-	}
-	defer transport.CloseAll(clients)
-	if err := transport.Bootstrap(context.Background(), clients, bc.layout); err != nil {
-		return nil, err
-	}
-	remote, err := cluster.NewWithSites(bc.layout, bc.crossing,
-		cluster.Config{Mode: bc.mode}, transport.Sites(clients))
-	if err != nil {
-		return nil, err
-	}
 
 	// One shared Zipf-skewed request sequence; the serial baseline replays
 	// its prefix so every phase sees the same popularity profile.
@@ -207,30 +184,6 @@ func RunThroughput(cfg Config) (*ThroughputResult, error) {
 		return nil, err
 	}
 	return res, nil
-}
-
-// spawnLoopbackSites starts k in-process transport servers on loopback TCP
-// and returns their addresses plus a shutdown function.
-func spawnLoopbackSites(k int) ([]string, func(), error) {
-	addrs := make([]string, 0, k)
-	servers := make([]*transport.Server, 0, k)
-	closeAll := func() {
-		for _, s := range servers {
-			s.Close()
-		}
-	}
-	for i := 0; i < k; i++ {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			closeAll()
-			return nil, nil, err
-		}
-		srv := transport.NewServer(transport.ServerOptions{})
-		go srv.Serve(l)
-		servers = append(servers, srv)
-		addrs = append(addrs, l.Addr().String())
-	}
-	return addrs, closeAll, nil
 }
 
 // reply is one completed answer held for post-hoc digest verification, so

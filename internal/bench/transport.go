@@ -1,19 +1,18 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"io"
-	"strings"
 
 	"mpc/internal/cluster"
 	"mpc/internal/obs"
+	"mpc/internal/store"
 	"mpc/internal/transport"
 	"mpc/internal/workload"
 )
 
-// TransportCombo is one (dataset, strategy) combination executed against
-// real mpc-site processes instead of in-process stores.
+// TransportCombo is one (dataset, strategy) combination executed over
+// loopback TCP sites instead of direct store calls.
 type TransportCombo struct {
 	Dataset  string `json:"dataset"`
 	Strategy string `json:"strategy"`
@@ -25,7 +24,7 @@ type TransportCombo struct {
 	// requests plus responses (cluster Stats aggregate).
 	BytesShipped int64 `json:"bytes_shipped"`
 	// RPCs counts query round-trips; P50/P95 are their latency quantiles
-	// from the transport.rpc_ns.query histogram.
+	// from the transport.rpc_ns.query_batch histogram.
 	RPCs     int64 `json:"rpcs"`
 	RPCP50NS int64 `json:"rpc_p50_ns"`
 	RPCP95NS int64 `json:"rpc_p95_ns"`
@@ -35,34 +34,61 @@ type TransportCombo struct {
 	Timeouts int64 `json:"timeouts"`
 }
 
-// TransportSection is the "transport" block of BENCH_online.json, present
-// only when the run was given real sites (Config.Sites / -sites).
+// TransportSection is the "transport" block of BENCH_online.json: every
+// online combination re-run over the wire, verified bit-identical, with
+// measured traffic and RPC quantiles.
 type TransportSection struct {
-	Sites  []string         `json:"sites"`
 	Combos []TransportCombo `json:"combos"`
 }
 
-// runTransportCombo re-runs one online combination against the configured
-// sites: it connects with a fresh metrics registry, bootstraps every site
-// with the combination's layout, executes the workload once, and verifies
-// each result table against the in-process cluster bit for bit.
-func runTransportCombo(cfg Config, bc builtCluster, dataset string,
-	queries []workload.NamedQuery) (TransportCombo, error) {
+// loopbackCluster is the wire view of one built combination: the
+// combination's own site stores behind loopback TCP servers, and a
+// coordinator over transport clients of them sharing the combination's
+// layout. Nothing is copied — both clusters answer from the same stores —
+// so the only difference from bc.c is that subqueries, updates and
+// migrations cross a real socket. closeAll releases clients and servers.
+func loopbackCluster(bc builtCluster, cfg cluster.Config, reg *obs.Registry) (remote *cluster.Cluster, addrs []string, closeAll func(), err error) {
+	stores := make([]*store.Store, bc.c.NumSites())
+	for i := range stores {
+		stores[i] = bc.c.Site(i)
+	}
+	addrs, closeSites, err := transport.ServeLoopback(stores, nil)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	clients, err := transport.Connect(addrs, transport.ClientOptions{Obs: reg})
+	if err != nil {
+		closeSites()
+		return nil, nil, nil, err
+	}
+	closeAll = func() {
+		transport.CloseAll(clients)
+		closeSites()
+	}
+	if err := transport.Verify(clients, bc.layout); err != nil {
+		closeAll()
+		return nil, nil, nil, err
+	}
+	cfg.Mode, cfg.Obs = bc.mode, reg
+	remote, err = cluster.NewWithSites(bc.layout, bc.crossing, cfg, transport.Sites(clients))
+	if err != nil {
+		closeAll()
+		return nil, nil, nil, err
+	}
+	return remote, addrs, closeAll, nil
+}
+
+// runTransportCombo re-runs one online combination over loopback TCP with a
+// fresh metrics registry: it executes the workload once and verifies each
+// result table against the in-process cluster bit for bit.
+func runTransportCombo(bc builtCluster, dataset string, queries []workload.NamedQuery) (TransportCombo, error) {
 	combo := TransportCombo{Dataset: dataset, Strategy: bc.name, Identical: true}
 	reg := obs.NewRegistry()
-	clients, err := transport.Connect(cfg.Sites, transport.ClientOptions{Obs: reg})
+	remote, _, closeAll, err := loopbackCluster(bc, cluster.Config{}, reg)
 	if err != nil {
 		return combo, err
 	}
-	defer transport.CloseAll(clients)
-	if err := transport.Bootstrap(context.Background(), clients, bc.layout); err != nil {
-		return combo, err
-	}
-	remote, err := cluster.NewWithSites(bc.layout, bc.crossing,
-		cluster.Config{Mode: bc.mode, Obs: reg}, transport.Sites(clients))
-	if err != nil {
-		return combo, err
-	}
+	defer closeAll()
 
 	for _, nq := range queries {
 		want, err := bc.c.Execute(nq.Query)
@@ -80,7 +106,7 @@ func runTransportCombo(cfg Config, bc builtCluster, dataset string,
 	}
 
 	snap := reg.Snapshot()
-	if h, ok := snap.Histograms["transport.rpc_ns.query"]; ok {
+	if h, ok := snap.Histograms["transport.rpc_ns.query_batch"]; ok {
 		combo.RPCs = h.Count
 		combo.RPCP50NS = h.P50
 		combo.RPCP95NS = h.P95
@@ -99,9 +125,6 @@ func tableDigest(res *cluster.Result) string {
 
 // RenderTransport writes the human-readable transport table.
 func RenderTransport(w io.Writer, ts *TransportSection) {
-	if ts == nil {
-		return
-	}
 	var cells [][]string
 	for _, c := range ts.Combos {
 		cells = append(cells, []string{
@@ -112,7 +135,7 @@ func RenderTransport(w io.Writer, ts *TransportSection) {
 			fmt.Sprint(c.Retries), fmt.Sprint(c.Timeouts),
 		})
 	}
-	WriteTable(w, fmt.Sprintf("Transport: %d real sites (%s)", len(ts.Sites), strings.Join(ts.Sites, " ")),
+	WriteTable(w, "Transport: every combination over loopback TCP sites",
 		[]string{"dataset", "strategy", "identical", "bytes", "rpcs", "rpc_p50_us", "rpc_p95_us", "retries", "timeouts"},
 		cells)
 }

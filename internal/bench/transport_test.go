@@ -2,39 +2,19 @@ package bench
 
 import (
 	"bytes"
-	"net"
 	"testing"
-
-	"mpc/internal/transport"
 )
 
-// TestRunOnlineWithSites runs the online experiment with real transport
-// servers behind Config.Sites: the transport section must report every
-// combination bit-identical to the in-process cluster with nonzero
-// measured traffic.
-func TestRunOnlineWithSites(t *testing.T) {
+// TestRunOnlineTransport checks the online experiment's transport section:
+// every combination re-run over loopback TCP sites must be bit-identical
+// to the in-process cluster, with nonzero measured traffic.
+func TestRunOnlineTransport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("transport online runner skipped in -short mode")
 	}
-	const k = 2
-	sites := make([]string, k)
-	for i := range sites {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := transport.NewServer(transport.ServerOptions{})
-		go srv.Serve(l)
-		t.Cleanup(srv.Close)
-		sites[i] = l.Addr().String()
-	}
-
-	res, err := RunOnline(Config{Triples: 3000, K: k, LogQueries: 5, Sites: sites})
+	res, err := RunOnline(Config{Triples: 3000, K: 2, LogQueries: 5})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if res.Transport == nil {
-		t.Fatal("no transport section despite Config.Sites")
 	}
 	if len(res.Transport.Combos) != len(res.Combos) {
 		t.Fatalf("transport combos %d, online combos %d", len(res.Transport.Combos), len(res.Combos))
@@ -53,16 +33,8 @@ func TestRunOnlineWithSites(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	RenderTransport(&buf, res.Transport)
+	RenderTransport(&buf, &res.Transport)
 	if buf.Len() == 0 {
 		t.Fatal("RenderTransport wrote nothing")
-	}
-}
-
-// TestRunOnlineSiteCountMismatch checks the K/Sites validation.
-func TestRunOnlineSiteCountMismatch(t *testing.T) {
-	_, err := RunOnline(Config{Triples: 3000, K: 4, Sites: []string{"localhost:1"}})
-	if err == nil {
-		t.Fatal("mismatched site count accepted")
 	}
 }

@@ -94,12 +94,12 @@ type Site interface {
 	ExecuteSub(ctx context.Context, sub *sparql.Query, opts SubOpts) (*store.Table, SubStats, error)
 }
 
-// BatchSite is an optional Site extension: evaluate several subqueries of
-// one plan in a single exchange, returning one table per subquery in
-// order. Remote implementations collapse the per-subquery round trips of
-// a decomposed query into one request/response frame pair per site; the
-// coordinator falls back to per-subquery ExecuteSub calls on sites that
-// do not implement it.
+// BatchSite is a Site that evaluates several subqueries of one plan in a
+// single exchange, returning one table per subquery in order. It is the
+// form the coordinator's fan-out uses: a remote implementation answers
+// all of a plan's subqueries bound for its site with one request/response
+// frame pair. NewWithSites adapts a Site without batch support into one
+// that answers a batch with per-subquery ExecuteSub calls.
 type BatchSite interface {
 	Site
 	ExecuteSubBatch(ctx context.Context, subs []*sparql.Query, opts SubOpts) ([]*store.Table, SubStats, error)
@@ -133,6 +133,25 @@ func (s localSite) ExecuteSubBatch(ctx context.Context, subs []*sparql.Query, _ 
 		}
 	}
 	return tabs, SubStats{}, nil
+}
+
+// perSubSite adapts a Site without batch support to the fan-out's
+// interface: one ExecuteSub call per subquery, measurements summed.
+type perSubSite struct{ Site }
+
+func (s perSubSite) ExecuteSubBatch(ctx context.Context, subs []*sparql.Query, opts SubOpts) ([]*store.Table, SubStats, error) {
+	tabs := make([]*store.Table, len(subs))
+	var total SubStats
+	for i, sub := range subs {
+		tab, ss, err := s.ExecuteSub(ctx, sub, opts)
+		total.BytesShipped += ss.BytesShipped
+		total.WireTime += ss.WireTime
+		if err != nil {
+			return nil, total, err
+		}
+		tabs[i] = tab
+	}
+	return tabs, total, nil
 }
 
 // SiteForStore wraps an existing store as an in-process Site, for clusters
@@ -187,8 +206,12 @@ type Config struct {
 // Cluster is a distributed RDF system: in-process (simulated shipping) or
 // backed by remote sites over a real transport.
 type Cluster struct {
-	layout   partition.SiteLayout
+	layout partition.SiteLayout
+	// sites are the sites as given, probed for the optional write halves
+	// (SiteUpdater, SiteMigrator); batch is the read path's view of the same
+	// sites — sites[i] itself, or a perSubSite around it.
 	sites    []Site
+	batch    []BatchSite
 	stores   []*store.Store // per-site local stores; nil entries for remote sites
 	remote   bool           // true when any site is not an in-process store
 	crossing sparql.CrossingTest
@@ -228,7 +251,7 @@ type Cluster struct {
 
 	// LoadTime is how long building all site stores took (the "loading"
 	// column of Table VI). Zero for remote clusters, whose stores are built
-	// by their own processes at bootstrap.
+	// by their own processes.
 	LoadTime time.Duration
 }
 
@@ -313,8 +336,9 @@ func New(layout partition.SiteLayout, crossing sparql.CrossingTest, cfg Config) 
 		}(i)
 	}
 	wg.Wait()
+	c.batch = make([]BatchSite, len(c.sites))
 	for i, st := range c.stores {
-		c.sites[i] = localSite{st}
+		c.sites[i], c.batch[i] = localSite{st}, localSite{st}
 	}
 	c.LoadTime = time.Since(start)
 	cfg.Obs.Gauge("cluster.sites").Set(int64(len(c.sites)))
@@ -323,7 +347,7 @@ func New(layout partition.SiteLayout, crossing sparql.CrossingTest, cfg Config) 
 
 // NewWithSites builds a cluster whose per-partition evaluation is delegated
 // to the given sites — typically internal/transport clients pointed at
-// cmd/mpc-site processes that have been bootstrapped with the same layout.
+// cmd/mpc-site processes serving the snapshots exported from this layout.
 // The layout stays at the coordinator for classification, localization and
 // (in ModeVP) property placement; len(sites) must equal layout.NumSites().
 // Shipping is measured, not simulated: see Stats.
@@ -337,10 +361,16 @@ func NewWithSites(layout partition.SiteLayout, crossing sparql.CrossingTest, cfg
 	}
 	c.sites = append([]Site(nil), sites...)
 	c.stores = make([]*store.Store, len(sites))
+	c.batch = make([]BatchSite, len(sites))
 	c.remote = true
 	for i, s := range sites {
 		if ls, ok := s.(localSite); ok {
 			c.stores[i] = ls.st
+		}
+		if bs, ok := s.(BatchSite); ok {
+			c.batch[i] = bs
+		} else {
+			c.batch[i] = perSubSite{s}
 		}
 	}
 	cfg.Obs.Gauge("cluster.sites").Set(int64(len(c.sites)))
@@ -458,14 +488,13 @@ func (c *Cluster) localizeSites(sub *sparql.Query) []int {
 // An empty site list yields an empty table with the subquery's schema. It
 // serves both the vertex-disjoint path (one site list shared by all
 // subqueries, or localized lists) and the VP path (per-task site lists).
-// parent, when non-nil, receives one child span per (subquery, site)
-// evaluation. The returned SubStats aggregates the transport measurements
+// parent, when non-nil, receives one child span per site call. The
+// returned SubStats aggregates the transport measurements
 // of all site calls (zero for in-process clusters).
 //
-// The (subquery, site) fan-out is grouped by site first: when several
-// subqueries of the plan land on the same BatchSite, they travel as one
-// ExecuteSubBatch exchange — one frame each way instead of one round trip
-// per subquery. Sites without batch support get the per-subquery calls.
+// The (subquery, site) fan-out is grouped by site: all the subqueries of
+// the plan that land on one site travel as one ExecuteSubBatch exchange —
+// one frame each way instead of one round trip per subquery.
 func (c *Cluster) evalPerSub(ctx context.Context, subs []*sparql.Query, sitesPerSub [][]int, parent *obs.Span) ([]*store.Table, SubStats, error) {
 	type key struct{ sub, site int }
 	results := make(map[key]*store.Table)
@@ -473,35 +502,16 @@ func (c *Cluster) evalPerSub(ctx context.Context, subs []*sparql.Query, sitesPer
 	var mu sync.Mutex
 	var firstErr error
 	var wg sync.WaitGroup
-	run := func(si int, site int) {
-		defer wg.Done()
-		sp := parent.Child("site-eval")
-		sp.SetAttr("sub", int64(si))
-		sp.SetAttr("site", int64(site))
-		tab, ss, err := c.sites[site].ExecuteSub(ctx, subs[si], SubOpts{})
-		if tab != nil {
-			sp.SetAttr("rows", int64(tab.Len()))
-		}
-		sp.End()
-		mu.Lock()
-		defer mu.Unlock()
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		wire.BytesShipped += ss.BytesShipped
-		wire.WireTime += ss.WireTime
-		results[key{si, site}] = tab
-	}
-	runBatch := func(site int, sis []int, bs BatchSite) {
+	run := func(site int, sis []int) {
 		defer wg.Done()
 		batch := make([]*sparql.Query, len(sis))
 		for i, si := range sis {
 			batch[i] = subs[si]
 		}
-		sp := parent.Child("site-eval-batch")
+		sp := parent.Child("site-eval")
 		sp.SetAttr("site", int64(site))
 		sp.SetAttr("subs", int64(len(sis)))
-		tabs, ss, err := bs.ExecuteSubBatch(ctx, batch, SubOpts{})
+		tabs, ss, err := c.batch[site].ExecuteSubBatch(ctx, batch, SubOpts{})
 		sp.End()
 		mu.Lock()
 		defer mu.Unlock()
@@ -516,36 +526,22 @@ func (c *Cluster) evalPerSub(ctx context.Context, subs []*sparql.Query, sitesPer
 			}
 		}
 	}
-	// Invert (subquery → sites) into (site → subqueries) to find batches.
-	perSite := make(map[int][]int)
+	// Invert (subquery → sites) into (site → subqueries).
+	perSite := make([][]int, len(c.sites))
 	for si := range subs {
 		for _, site := range sitesPerSub[si] {
 			perSite[site] = append(perSite[site], si)
 		}
 	}
-	for si := range subs {
-		for _, site := range sitesPerSub[si] {
-			sis := perSite[site]
-			bs, batchable := c.sites[site].(BatchSite)
-			if batchable && len(sis) > 1 {
-				// One call per site, issued when its first subquery comes up.
-				if sis[0] != si {
-					continue
-				}
-				wg.Add(1)
-				if c.cfg.Sequential {
-					runBatch(site, sis, bs)
-				} else {
-					go runBatch(site, sis, bs)
-				}
-				continue
-			}
-			wg.Add(1)
-			if c.cfg.Sequential {
-				run(si, site)
-			} else {
-				go run(si, site)
-			}
+	for site, sis := range perSite {
+		if len(sis) == 0 {
+			continue
+		}
+		wg.Add(1)
+		if c.cfg.Sequential {
+			run(site, sis)
+		} else {
+			go run(site, sis)
 		}
 	}
 	wg.Wait()

@@ -32,13 +32,10 @@ import (
 // the diff stays exact from plan to cutover, and the per-phase migration
 // sequence numbers stay strictly increasing at every site.
 
-// MigrateBatch is one phase's triple shipment to one site, as carried by
-// the protocol-v4 migration RPC. Unlike UpdateBatch it carries no
-// dictionary delta and no Local tags: migration never creates terms (every
-// shipped triple is live, so its terms are interned everywhere), and every
-// op in the batch is for the receiving site's store by construction. A
-// site holding a full-graph replica must NOT apply migration ops to it —
-// migration changes placement, not data.
+// MigrateBatch is one phase's triple shipment to one site. Unlike
+// UpdateBatch it carries no dictionary delta: migration never creates terms
+// (every shipped triple is live, so its terms are interned everywhere) —
+// it changes placement, not data.
 type MigrateBatch struct {
 	// Seq numbers migration shipments per cluster, strictly increasing,
 	// independent of the update-batch sequence. Sites use it for replay

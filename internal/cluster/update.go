@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -13,9 +14,11 @@ import (
 // Live updates. The coordinator owns the write path: it resolves a raw
 // batch against the shared dictionaries exactly once, applies it to its
 // graph, folds the resulting slot trace into the layout (vertex assignment,
-// crossing counters), and fans the batch out to every site. Sites see the
-// batch as an UpdateBatch: the dictionary delta, plus every op tagged with
-// whether this site stores the triple under the layout's placement rule.
+// crossing counters), and ships each site its share as an UpdateBatch: the
+// dictionary delta, plus the ops whose triple that site stores under the
+// layout's placement rule (both endpoints' sites for a crossing edge, the
+// property's site under VP). A site is a store — nothing at a site mirrors
+// the whole graph, so ops a site does not store never travel to it.
 //
 // Placement of new data never moves old data. A vertex first seen by an
 // insert is assigned to the least-loaded partition; a property first seen
@@ -23,24 +26,10 @@ import (
 // layout used. Re-partitioning is an offline decision — the drift monitor
 // (DriftReport) says when it is due.
 
-// UpdateOp is one mutation of an UpdateBatch. Local marks ops whose triple
-// the receiving site stores under the layout's placement rule (both
-// endpoints' sites for a crossing edge, the property's site under VP); the
-// site applies Local ops to its store. Sites that hold a full replica of
-// the graph (remote mpc-site processes) additionally apply every op —
-// Local or not — to that replica, so the replica stays bit-identical to
-// the coordinator's graph. In-process sites share the coordinator's graph
-// object, which the coordinator has already mutated.
-type UpdateOp struct {
-	Insert bool
-	Local  bool
-	T      rdf.Triple
-}
-
-// UpdateBatch is one committed write batch as shipped to a site. Ops are
+// UpdateBatch is one site's share of a committed write batch. Ops are
 // slot-trace-derived: every delete in it matched a live triple on the
-// coordinator's graph, so a full-graph replica applies them without
-// surprises.
+// coordinator's graph, so a delete the site's store cannot find means the
+// site is behind the coordinator.
 type UpdateBatch struct {
 	// Seq is the coordinator's batch sequence number, strictly increasing
 	// per cluster. Sites use it to make replay idempotent: re-applying the
@@ -48,14 +37,20 @@ type UpdateBatch struct {
 	Seq uint64
 	// Delta pins the term→ID assignment of terms this batch interned.
 	Delta rdf.DictDelta
-	// Ops is the batch's mutation trace with per-site Local tags.
-	Ops []UpdateOp
+	// Ops is the part of the batch's mutation trace the receiving site
+	// stores, in trace order.
+	Ops []rdf.ResolvedUpdate
 }
 
 // SiteUpdateResult reports what one site's store did with a batch.
 type SiteUpdateResult struct {
 	Stats rdf.ApplyStats
 }
+
+// ErrSiteBehind is wrapped by Apply's error when a site's store could not
+// find a triple the coordinator's trace says it holds: the site has missed
+// or lost earlier writes and must be re-opened from a fresh snapshot.
+var ErrSiteBehind = errors.New("cluster: site is behind the coordinator")
 
 // SiteUpdater is the write half of a site: Site implementations that also
 // implement SiteUpdater accept committed update batches. The in-process
@@ -65,13 +60,12 @@ type SiteUpdater interface {
 }
 
 // ApplyUpdate implements SiteUpdater for in-process sites. Sites built by
-// New share the coordinator's graph, which has already absorbed the delta
-// and the mutations, so only the Local ops touch the store; sites wrapped
-// over independently opened stores (SiteForStore around a mapped block
-// snapshot) have a private dictionary-only graph that must learn the
-// batch's new terms, or constants referencing them would never compile at
-// this site. Delta application is idempotent — on a shared graph it
-// verifies the existing assignment and changes nothing.
+// New share the coordinator's graph, which has already absorbed the delta;
+// sites wrapped over independently opened stores (SiteForStore around a
+// mapped block snapshot) have a private dictionary-only graph that must
+// learn the batch's new terms, or constants referencing them would never
+// compile at this site. Delta application is idempotent — on a shared graph
+// it verifies the existing assignment and changes nothing.
 func (s localSite) ApplyUpdate(ctx context.Context, batch UpdateBatch) (SiteUpdateResult, error) {
 	if err := ctx.Err(); err != nil {
 		return SiteUpdateResult{}, err
@@ -79,13 +73,7 @@ func (s localSite) ApplyUpdate(ctx context.Context, batch UpdateBatch) (SiteUpda
 	if err := batch.Delta.Apply(s.st.Graph()); err != nil {
 		return SiteUpdateResult{}, err
 	}
-	resolved := make([]rdf.ResolvedUpdate, 0, len(batch.Ops))
-	for _, op := range batch.Ops {
-		if op.Local {
-			resolved = append(resolved, rdf.ResolvedUpdate{Insert: op.Insert, T: op.T})
-		}
-	}
-	return SiteUpdateResult{Stats: s.st.ApplyResolved(resolved)}, nil
+	return SiteUpdateResult{Stats: s.st.ApplyResolved(batch.Ops)}, nil
 }
 
 // Apply commits a raw update batch to the whole cluster: resolve against
@@ -96,9 +84,12 @@ func (s localSite) ApplyUpdate(ctx context.Context, batch UpdateBatch) (SiteUpda
 // the old or the new state, never a torn one.
 //
 // A site error leaves the coordinator's state committed and the failing
-// site behind; the error is returned so the caller can quarantine or
-// re-bootstrap the site. Acknowledge a write to the outside world only
-// after Apply returns and dependent caches are invalidated.
+// site behind; the error names the site so the caller can quarantine it or
+// re-open it from a fresh snapshot. A site that applied its batch but
+// could not find a triple the trace deletes was behind already: that is
+// reported the same way, wrapping ErrSiteBehind. Acknowledge a write to the
+// outside world only after Apply returns and dependent caches are
+// invalidated.
 func (c *Cluster) Apply(ctx context.Context, ops []rdf.Op) (rdf.ApplyStats, error) {
 	// Lock order: commitMu → stateMu (see the field docs in cluster.go).
 	// Resolution — dictionary interning and delete-by-value lookups, the
@@ -137,17 +128,19 @@ func (c *Cluster) ApplyShared(ctx context.Context, delta rdf.DictDelta, trace []
 	return c.applyTraceLocked(ctx, delta, trace)
 }
 
-// applyTraceLocked maintains the layout, routes the trace into per-site
-// batches, fans them out, and bumps the plan-invalidating version. Caller
-// holds stateMu.
+// applyTraceLocked maintains the layout, routes each trace op to the sites
+// that store its triple, fans the per-site batches out, and bumps the
+// plan-invalidating version. Caller holds stateMu.
 func (c *Cluster) applyTraceLocked(ctx context.Context, delta rdf.DictDelta, trace []rdf.SlotOp) error {
 	var vd *partition.Partitioning
+	var route func(rdf.Triple) (int, int) // the one or two sites storing a triple; -1 = none
 	switch l := c.layout.(type) {
 	case *partition.Partitioning:
 		l.ApplyTrace(trace)
-		vd = l
+		vd, route = l, l.TripleSites
 	case *partition.VPLayout:
 		l.ApplyTrace(trace)
+		route = func(t rdf.Triple) (int, int) { return int(l.SiteOf(t.P)), -1 }
 	default:
 		return fmt.Errorf("cluster: layout %T does not support live updates", c.layout)
 	}
@@ -158,19 +151,13 @@ func (c *Cluster) applyTraceLocked(ctx context.Context, delta rdf.DictDelta, tra
 		return nil
 	}
 
-	batches := make([]UpdateBatch, len(c.sites))
-	for i := range batches {
-		batches[i] = UpdateBatch{Seq: c.updateSeq, Delta: delta, Ops: make([]UpdateOp, len(trace))}
-	}
-	for oi, op := range trace {
-		s1, s2 := -1, -1
-		if vd != nil {
-			s1, s2 = vd.TripleSites(op.T)
-		} else {
-			s1 = int(c.vp.SiteOf(op.T.P))
-		}
-		for i := range batches {
-			batches[i].Ops[oi] = UpdateOp{Insert: op.Insert, Local: i == s1 || i == s2, T: op.T}
+	siteOps := make([][]rdf.ResolvedUpdate, len(c.sites))
+	for _, op := range trace {
+		ru := rdf.ResolvedUpdate{Insert: op.Insert, T: op.T}
+		s1, s2 := route(op.T)
+		siteOps[s1] = append(siteOps[s1], ru)
+		if s2 >= 0 {
+			siteOps[s2] = append(siteOps[s2], ru)
 		}
 	}
 
@@ -182,9 +169,14 @@ func (c *Cluster) applyTraceLocked(ctx context.Context, delta rdf.DictDelta, tra
 		up, ok := c.sites[i].(SiteUpdater)
 		var err error
 		if !ok {
-			err = fmt.Errorf("cluster: site %d (%T) does not support updates", i, c.sites[i])
+			err = fmt.Errorf("%T does not support updates", c.sites[i])
 		} else {
-			_, err = up.ApplyUpdate(ctx, batches[i])
+			var res SiteUpdateResult
+			res, err = up.ApplyUpdate(ctx, UpdateBatch{Seq: c.updateSeq, Delta: delta, Ops: siteOps[i]})
+			if err == nil && res.Stats.NotFound > 0 {
+				err = fmt.Errorf("%w: %d deleted triples it should hold were not in its store",
+					ErrSiteBehind, res.Stats.NotFound)
+			}
 		}
 		if err != nil {
 			mu.Lock()
@@ -195,6 +187,11 @@ func (c *Cluster) applyTraceLocked(ctx context.Context, delta rdf.DictDelta, tra
 		}
 	}
 	for i := range c.sites {
+		// A new term must reach every site's dictionaries; without one, a
+		// site with no ops has nothing to do.
+		if len(siteOps[i]) == 0 && delta.Empty() {
+			continue
+		}
 		wg.Add(1)
 		if c.cfg.Sequential {
 			apply(i)

@@ -2,10 +2,13 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
+	"mpc/internal/core"
 	"mpc/internal/partition"
 	"mpc/internal/rdf"
 	"mpc/internal/sparql"
@@ -267,5 +270,132 @@ func TestConcurrentApplyAndExecute(t *testing.T) {
 	case err := <-errc:
 		t.Fatal(err)
 	default:
+	}
+}
+
+// recordingSite is a local site that also keeps every update batch it is
+// sent, so a test can see what the coordinator shipped where.
+type recordingSite struct {
+	localSite
+	got *[]UpdateBatch
+}
+
+func (s recordingSite) ApplyUpdate(ctx context.Context, batch UpdateBatch) (SiteUpdateResult, error) {
+	*s.got = append(*s.got, batch)
+	return s.localSite.ApplyUpdate(ctx, batch)
+}
+
+// TestApplyShipsEachSiteItsOwnOps pins the fan-out rule: a site receives
+// exactly the trace ops whose triple it stores — both endpoints' sites for
+// a crossing edge — and is not called at all when a batch has neither an
+// op nor a new term for it.
+func TestApplyShipsEachSiteItsOwnOps(t *testing.T) {
+	g := movieGraph()
+	p, err := core.MPC{}.Partition(g, partition.Options{K: 2, Epsilon: 0.2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([][]UpdateBatch, p.NumSites())
+	sites := make([]Site, p.NumSites())
+	for i := range sites {
+		sites[i] = recordingSite{localSite{store.New(g, p.SiteTriples(i))}, &got[i]}
+	}
+	c, err := NewWithSites(p, func(string) bool { return false }, Config{Sequential: true}, sites)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := func(name string) rdf.VertexID {
+		v, ok := g.Vertices.Lookup(name)
+		if !ok {
+			t.Fatalf("no vertex %q", name)
+		}
+		return rdf.VertexID(v)
+	}
+	home := func(name string) int { return int(p.Assign[id(name)]) }
+	if home("actor1") == home("city1") {
+		t.Fatal("movieGraph's two communities landed on one site; the test needs a crossing edge")
+	}
+
+	// One internal delete (no new terms): only the film's home site hears
+	// of it.
+	if _, err := c.Apply(context.Background(), []rdf.Op{
+		{Insert: false, S: "film1", P: "chronology", O: "film2"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i := range got {
+		want := 0
+		if i == home("film1") {
+			want = 1
+		}
+		if len(got[i]) != want {
+			t.Fatalf("internal delete: site %d received %d batches, want %d", i, len(got[i]), want)
+		}
+	}
+	if ops := got[home("film1")][0].Ops; len(ops) != 1 || ops[0].Insert {
+		t.Fatalf("internal delete: shipped ops %+v, want the one delete", ops)
+	}
+
+	// One crossing insert between known vertices: both endpoints' sites
+	// store it, so both get the op.
+	for i := range got {
+		got[i] = nil
+	}
+	if _, err := c.Apply(context.Background(), []rdf.Op{
+		{Insert: true, S: "actor1", P: "birthPlace", O: "city2"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i := range got {
+		if len(got[i]) != 1 || len(got[i][0].Ops) != 1 || !got[i][0].Ops[0].Insert {
+			t.Fatalf("crossing insert: site %d received %+v, want one batch with the insert", i, got[i])
+		}
+	}
+
+	// A new term reaches every site's dictionaries, ops or not.
+	for i := range got {
+		got[i] = nil
+	}
+	if _, err := c.Apply(context.Background(), []rdf.Op{
+		{Insert: true, S: "film1", P: "sequel", O: "film2"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i := range got {
+		wantOps := 0
+		if i == home("film1") {
+			wantOps = 1
+		}
+		if len(got[i]) != 1 || len(got[i][0].Ops) != wantOps || got[i][0].Delta.Empty() {
+			t.Fatalf("new property: site %d received %+v, want the delta and %d ops", i, got[i], wantOps)
+		}
+	}
+}
+
+// TestApplyReportsSiteBehind corrupts one site's store behind the
+// coordinator's back — the state of a site that lost an acked write — and
+// checks the next batch touching the lost triple fails with ErrSiteBehind,
+// naming the site, instead of being silently absorbed.
+func TestApplyReportsSiteBehind(t *testing.T) {
+	g := movieGraph()
+	c := mpcCluster(t, g, 2)
+	p := c.layout.(*partition.Partitioning)
+	s, _ := g.Vertices.Lookup("film1")
+	pr, _ := g.Properties.Lookup("chronology")
+	o, _ := g.Vertices.Lookup("film2")
+	tr := rdf.Triple{S: rdf.VertexID(s), P: rdf.PropertyID(pr), O: rdf.VertexID(o)}
+	site, _ := p.TripleSites(tr)
+	if !c.Site(site).Delete(tr) {
+		t.Fatalf("site %d does not hold %v", site, tr)
+	}
+
+	_, err := c.Apply(context.Background(), []rdf.Op{
+		{Insert: false, S: "film1", P: "chronology", O: "film2"},
+	})
+	if !errors.Is(err, ErrSiteBehind) {
+		t.Fatalf("Apply over a corrupted site: got %v, want ErrSiteBehind", err)
+	}
+	if want := fmt.Sprintf("site %d", site); !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not name %s", err, want)
 	}
 }

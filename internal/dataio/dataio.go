@@ -46,26 +46,25 @@ func LoadFile(path string) (*rdf.Graph, error) {
 	return ntriples.LoadGraph(bufio.NewReaderSize(f, 1<<20))
 }
 
-// OpenSiteStore opens a site snapshot as a query-ready store, dispatching
-// on the snapshot version: v3 block snapshots are memory-mapped in place
-// (heap holds only dictionaries, directory and cache), while v1/v2
-// snapshots and N-Triples files load fully into the heap behind a flat
-// index. Close the returned store to release any mapping.
+// OpenSiteStore opens a per-site v3 block snapshot (SaveSiteSnapshots,
+// mpc-partition -export-snapshots) as a query-ready store, memory-mapped
+// in place: the heap holds only dictionaries, block directory and cache.
+// Anything else — N-Triples, a v1/v2 whole-graph snapshot — is not a site
+// and is refused; convert it by partitioning it. Close the returned store
+// to release the mapping.
 func OpenSiteStore(path string) (*store.Store, error) {
-	if strings.HasSuffix(path, SnapshotExt) {
-		v, err := store.SnapshotVersion(path)
-		if err != nil {
-			return nil, err
-		}
-		if v == store.BlockSnapshotVersion {
-			return store.OpenSnapshot(path)
-		}
+	if !strings.HasSuffix(path, SnapshotExt) {
+		return nil, fmt.Errorf("dataio: %s: a site opens a %s block snapshot (mpc-partition -export-snapshots), not N-Triples", path, SnapshotExt)
 	}
-	g, err := LoadFile(path)
+	v, err := store.SnapshotVersion(path)
 	if err != nil {
 		return nil, err
 	}
-	return store.New(g, g.LiveTriples()), nil
+	if v != store.BlockSnapshotVersion {
+		return nil, fmt.Errorf("dataio: %s is a version-%d whole-graph snapshot; a site opens a version-%d block snapshot (mpc-partition -export-snapshots)",
+			path, v, store.BlockSnapshotVersion)
+	}
+	return store.OpenSnapshot(path)
 }
 
 // SaveFile writes g to path, picking the format from the extension. The

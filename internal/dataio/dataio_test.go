@@ -2,6 +2,7 @@ package dataio
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"mpc/internal/rdf"
@@ -136,9 +137,10 @@ func TestSaveSiteSnapshots(t *testing.T) {
 	}
 }
 
-// TestOpenSiteStoreLegacy checks the fallback path: a v1/v2 graph snapshot
-// and a plain .nt file both open as heap-backed stores.
-func TestOpenSiteStoreLegacy(t *testing.T) {
+// TestOpenSiteStoreRejectsNonSites checks that only v3 block snapshots
+// open as sites: a whole-graph v1/v2 snapshot and a plain .nt file are
+// refused with an error that says what to do instead.
+func TestOpenSiteStoreRejectsNonSites(t *testing.T) {
 	g := sample()
 	for _, name := range []string{"g" + SnapshotExt, "g.nt"} {
 		path := filepath.Join(t.TempDir(), name)
@@ -146,14 +148,12 @@ func TestOpenSiteStoreLegacy(t *testing.T) {
 			t.Fatal(err)
 		}
 		st, err := OpenSiteStore(path)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+		if err == nil {
+			st.Close()
+			t.Fatalf("%s: opened as a site store", name)
 		}
-		if st.NumTriples() != g.NumTriples() {
-			t.Fatalf("%s: store holds %d triples, want %d", name, st.NumTriples(), g.NumTriples())
-		}
-		if err := st.Close(); err != nil {
-			t.Fatal(err)
+		if !strings.Contains(err.Error(), "-export-snapshots") {
+			t.Fatalf("%s: error does not point at the export step: %v", name, err)
 		}
 	}
 }

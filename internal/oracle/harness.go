@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"os"
 	"path/filepath"
 	"sync"
@@ -158,7 +157,11 @@ func NewEnv(g *rdf.Graph, o Options) (*Env, error) {
 		}
 	}
 	if o.TCP {
-		tc, err := e.tcpCluster(mpcP.Clone())
+		stores := make([]*store.Store, mpcP.NumSites())
+		for i := range stores {
+			stores[i] = store.New(g, mpcP.SiteTriples(i))
+		}
+		tc, err := e.tcpCluster(mpcP.Clone(), stores)
 		if err != nil {
 			e.Close()
 			return nil, err
@@ -178,9 +181,8 @@ func NewEnv(g *rdf.Graph, o Options) (*Env, error) {
 // registers clusters that serve them memory-mapped: one with in-process
 // SiteForStore sites, and — when TCP is also requested — one behind real
 // loopback servers handed the mapped store directly (the mpc-site
-// -snapshot deployment, where the site's graph is dictionary-only and
-// replica maintenance is skipped). Both see the same update stream as
-// every other combo via ApplyShared.
+// -snapshot deployment, where the site's graph is dictionary-only). Both
+// see the same update stream as every other combo via ApplyShared.
 func (e *Env) addBlockCombos(mpcP *partition.Partitioning) error {
 	dir, err := os.MkdirTemp("", "mpc-oracle-blk-")
 	if err != nil {
@@ -226,25 +228,9 @@ func (e *Env) addBlockCombos(mpcP *partition.Partitioning) error {
 	if err != nil {
 		return err
 	}
-	addrs := make([]string, len(tcpStores))
-	for i, st := range tcpStores {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return fmt.Errorf("oracle: listen: %w", err)
-		}
-		srv := transport.NewServer(transport.ServerOptions{Graph: st.Graph(), Store: st})
-		go srv.Serve(l)
-		e.closers = append(e.closers, srv.Close)
-		addrs[i] = l.Addr().String()
-	}
-	clients, err := transport.Connect(addrs, transport.ClientOptions{})
+	btc, err := e.tcpCluster(mpcP.Clone(), tcpStores)
 	if err != nil {
-		return fmt.Errorf("oracle: connect: %w", err)
-	}
-	e.closers = append(e.closers, func() { transport.CloseAll(clients) })
-	btc, err := cluster.NewWithSites(mpcP.Clone(), e.crossing, cluster.Config{}, transport.Sites(clients))
-	if err != nil {
-		return fmt.Errorf("oracle: block tcp cluster: %w", err)
+		return err
 	}
 	e.combos = append(e.combos, combo{"mpc/crossing-aware/block/tcp", btc, false})
 	return nil
@@ -321,28 +307,23 @@ func (e *Env) Migrate(ctx context.Context, seed int64) (int, error) {
 	return moved, nil
 }
 
-// tcpCluster spawns one transport server per site on loopback TCP,
-// bootstraps them with the MPC layout, and wraps the clients in a
-// coordinator — the real-network execution path.
-func (e *Env) tcpCluster(p *partition.Partitioning) (*cluster.Cluster, error) {
-	addrs := make([]string, p.NumSites())
-	for i := range addrs {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, fmt.Errorf("oracle: listen: %w", err)
-		}
-		srv := transport.NewServer(transport.ServerOptions{})
-		go srv.Serve(l)
-		e.closers = append(e.closers, srv.Close)
-		addrs[i] = l.Addr().String()
+// tcpCluster puts the layout's site stores behind loopback TCP servers
+// and wraps clients of them in a coordinator — the real-network execution
+// path. The stores are the sites: nothing is shipped at bring-up, the
+// coordinator only checks that each site holds its partition.
+func (e *Env) tcpCluster(p *partition.Partitioning, stores []*store.Store) (*cluster.Cluster, error) {
+	addrs, closeSites, err := transport.ServeLoopback(stores, nil)
+	if err != nil {
+		return nil, fmt.Errorf("oracle: serve: %w", err)
 	}
+	e.closers = append(e.closers, closeSites)
 	clients, err := transport.Connect(addrs, transport.ClientOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("oracle: connect: %w", err)
 	}
 	e.closers = append(e.closers, func() { transport.CloseAll(clients) })
-	if err := transport.Bootstrap(context.Background(), clients, p); err != nil {
-		return nil, fmt.Errorf("oracle: bootstrap: %w", err)
+	if err := transport.Verify(clients, p); err != nil {
+		return nil, fmt.Errorf("oracle: %w", err)
 	}
 	return cluster.NewWithSites(p, e.crossing, cluster.Config{}, transport.Sites(clients))
 }

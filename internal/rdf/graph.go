@@ -36,8 +36,8 @@ type AdjEntry struct {
 // mutable: Insert and Delete maintain the property and adjacency indexes
 // incrementally, so the offline build cost is paid once and live updates are
 // O(degree). Deletes tombstone the triple's slot (the triple list never
-// compacts), which keeps external triple indices — site layouts, bootstrap
-// payloads — stable across mutations; freed slots are reused by later
+// compacts), which keeps external triple indices — site layouts — stable
+// across mutations; freed slots are reused by later
 // inserts. Reading methods that need indexes panic if the graph is not
 // frozen.
 //
@@ -403,23 +403,6 @@ func (g *Graph) FindTriple(s VertexID, p PropertyID, o VertexID) (int32, bool) {
 		}
 	}
 	return 0, false
-}
-
-// SubgraphByTriples returns a frozen graph holding only the given triples
-// while sharing this graph's dictionaries, so vertex and property IDs stay
-// comparable with the original. This is what per-site snapshot export
-// needs: a site loading such a snapshot answers queries with bindings the
-// coordinator can join against directly. It also serves as the compaction
-// path for mutated graphs: SubgraphByTriples(LiveTriples()) is a fresh
-// tombstone-free copy.
-func (g *Graph) SubgraphByTriples(idx []int32) *Graph {
-	sub := &Graph{Vertices: g.Vertices, Properties: g.Properties}
-	sub.triples = make([]Triple, len(idx))
-	for i, ti := range idx {
-		sub.triples[i] = g.triples[ti]
-	}
-	sub.Freeze()
-	return sub
 }
 
 func (g *Graph) mustFrozen() {

@@ -41,13 +41,7 @@ func (s updatableBlockingSite) ApplyUpdate(ctx context.Context, batch cluster.Up
 	if err := ctx.Err(); err != nil {
 		return cluster.SiteUpdateResult{}, err
 	}
-	resolved := make([]rdf.ResolvedUpdate, 0, len(batch.Ops))
-	for _, op := range batch.Ops {
-		if op.Local {
-			resolved = append(resolved, rdf.ResolvedUpdate{Insert: op.Insert, T: op.T})
-		}
-	}
-	return cluster.SiteUpdateResult{Stats: s.st.ApplyResolved(resolved)}, nil
+	return cluster.SiteUpdateResult{Stats: s.st.ApplyResolved(batch.Ops)}, nil
 }
 
 // updatableClusters is testClusters with updatable blocking sites on the

@@ -235,7 +235,7 @@ func TestBlockIndexSeekEquivalence(t *testing.T) {
 // bit-identical to the flat store, including duplicate collapsing.
 func TestBlockStoreMatchEquivalence(t *testing.T) {
 	g := movieGraph()
-	idx := allTripleIdx(g)
+	idx := allSlots(g)
 	idx = append(idx, idx[0]) // replicate one triple: dedup gate on
 	flat := New(g, idx)
 	blk := NewBlock(g, idx)
@@ -257,8 +257,8 @@ func TestBlockStoreMatchEquivalence(t *testing.T) {
 	}
 }
 
-// allTripleIdx lists every triple slot of g.
-func allTripleIdx(g *rdf.Graph) []int32 {
+// allSlots lists every triple slot of g.
+func allSlots(g *rdf.Graph) []int32 {
 	idx := make([]int32, g.NumTriples())
 	for i := range idx {
 		idx[i] = int32(i)
@@ -271,7 +271,7 @@ func allTripleIdx(g *rdf.Graph) []int32 {
 // opened store accepts live updates through its overlay.
 func TestBlockSnapshotRoundtrip(t *testing.T) {
 	g := movieGraph()
-	idx := allTripleIdx(g)
+	idx := allSlots(g)
 	path := filepath.Join(t.TempDir(), "site0.mpcg")
 	if err := SaveBlockSnapshot(path, g, idx); err != nil {
 		t.Fatalf("save: %v", err)
@@ -326,7 +326,7 @@ func TestBlockSnapshotRoundtrip(t *testing.T) {
 func TestBlockSnapshotCorruption(t *testing.T) {
 	g := movieGraph()
 	var buf bytes.Buffer
-	if err := WriteBlockSnapshot(&buf, g, allTripleIdx(g)); err != nil {
+	if err := WriteBlockSnapshot(&buf, g, allSlots(g)); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	data := buf.Bytes()

@@ -2,7 +2,7 @@ package transport
 
 import (
 	"context"
-	"errors"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -82,19 +82,47 @@ func TestTableBatchCodecRoundtrip(t *testing.T) {
 	}
 }
 
+// TestTableBatchOfOneAllocatesLikeOneTable pins the buffer sizing that lets
+// a batch of one stand in for a single-table response: however large the
+// table, encoding the batch allocates no more than encoding the bare table
+// into an exactly pre-sized buffer does — the payload, once.
+func TestTableBatchOfOneAllocatesLikeOneTable(t *testing.T) {
+	tab := store.NewTable([]string{"x", "y"}, []store.VarKind{store.KindVertex, store.KindVertex})
+	tab.Data = make([]uint32, 2<<16)
+	// AllocsPerRun counts process-wide mallocs; the minimum over a few
+	// tries filters out goroutines other tests left winding down.
+	minAllocs := func(f func()) float64 {
+		best := math.Inf(1)
+		for i := 0; i < 5; i++ {
+			best = min(best, testing.AllocsPerRun(5, f))
+		}
+		return best
+	}
+	var payload []byte
+	bare := minAllocs(func() {
+		payload = store.AppendTable(make([]byte, 0, store.EncodedTableSize(tab)), tab)
+	})
+	batch := minAllocs(func() {
+		payload = AppendTableBatch(nil, []*store.Table{tab})
+	})
+	if batch > bare {
+		t.Fatalf("encoding a batch of one %d-value table took %.0f allocations, the bare table %.0f", len(tab.Data), batch, bare)
+	}
+	if got, err := DecodeTableBatch(payload); err != nil || len(got) != 1 || got[0].Len() != tab.Len() {
+		t.Fatalf("roundtrip: %v", err)
+	}
+}
+
 // TestExecuteSubBatchMatchesSingles checks that one batched round trip
 // returns exactly the tables that per-subquery calls return, in order.
 func TestExecuteSubBatchMatchesSingles(t *testing.T) {
 	g := testGraph(t)
-	_, addr := startServer(t, ServerOptions{})
+	_, addr := startServer(t, store.New(g, allTriples(g)))
 	c, err := Dial(addr, ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Bootstrap(context.Background(), g, allTriples(g)); err != nil {
-		t.Fatal(err)
-	}
 
 	subs := batchQueries(g, 6, 17)
 	tabs, st, err := c.ExecuteSubBatch(context.Background(), subs, cluster.SubOpts{})
@@ -119,27 +147,11 @@ func TestExecuteSubBatchMatchesSingles(t *testing.T) {
 	}
 }
 
-// TestExecuteSubBatchNoStore checks the typed error before bootstrap.
-func TestExecuteSubBatchNoStore(t *testing.T) {
-	g := testGraph(t)
-	_, addr := startServer(t, ServerOptions{})
-	c, err := Dial(addr, ClientOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	_, _, err = c.ExecuteSubBatch(context.Background(), batchQueries(g, 2, 1), cluster.SubOpts{})
-	var re *RemoteError
-	if !errors.As(err, &re) || re.Code != CodeNoStore {
-		t.Fatalf("got %v, want RemoteError{CodeNoStore}", err)
-	}
-}
-
 // TestMappedSnapshotServing covers the full store-only site path: a v3
 // block snapshot served over the wire answers queries and updates
 // bit-identically to a heap-backed flat store, including after a live
-// update batch (the server must skip full-graph replica maintenance — the
-// mapped site's graph is dictionary-only).
+// update batch (the mapped site's graph is dictionary-only, so the delta
+// is what teaches it the batch's new terms).
 func TestMappedSnapshotServing(t *testing.T) {
 	g := testGraph(t)
 	path := filepath.Join(t.TempDir(), "site0.mpcg")
@@ -153,7 +165,7 @@ func TestMappedSnapshotServing(t *testing.T) {
 	defer mapped.Close()
 	flat := store.New(g, allTriples(g))
 
-	_, addr := startServer(t, ServerOptions{Graph: mapped.Graph(), Store: mapped})
+	_, addr := startServer(t, mapped)
 	c, err := Dial(addr, ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +191,7 @@ func TestMappedSnapshotServing(t *testing.T) {
 	check("pre-update")
 
 	// A live batch over the mapped base: inserts with new terms, a delete
-	// of a base triple, all Local to this site.
+	// of a base triple.
 	victim := uniqueTriple(t, g)
 	ops := []rdf.Op{
 		{Insert: true, S: "<urn:blk:a>", P: "<urn:blk:p>", O: "<urn:blk:b>"},
@@ -190,11 +202,7 @@ func TestMappedSnapshotServing(t *testing.T) {
 	if notFound != 0 {
 		t.Fatalf("resolution dropped %d ops", notFound)
 	}
-	batch := cluster.UpdateBatch{Seq: 1, Delta: delta, Ops: make([]cluster.UpdateOp, len(resolved))}
-	for i, ru := range resolved {
-		batch.Ops[i] = cluster.UpdateOp{Insert: ru.Insert, Local: true, T: ru.T}
-	}
-	res, err := c.ApplyUpdate(context.Background(), batch)
+	res, err := c.ApplyUpdate(context.Background(), cluster.UpdateBatch{Seq: 1, Delta: delta, Ops: resolved})
 	if err != nil {
 		t.Fatal(err)
 	}

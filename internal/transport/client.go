@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -14,7 +13,6 @@ import (
 
 	"mpc/internal/cluster"
 	"mpc/internal/obs"
-	"mpc/internal/rdf"
 	"mpc/internal/sparql"
 	"mpc/internal/store"
 )
@@ -25,9 +23,6 @@ type ClientOptions struct {
 	// retries, and backoff sleeps. A per-call cluster.SubOpts.Timeout
 	// overrides it. Default 30s.
 	RequestTimeout time.Duration
-	// BootstrapTimeout bounds the (much larger) bootstrap requests.
-	// Default 2m.
-	BootstrapTimeout time.Duration
 	// DialTimeout bounds one TCP dial attempt. Default 5s.
 	DialTimeout time.Duration
 	// MaxRetries is the number of additional attempts after the first
@@ -49,9 +44,6 @@ type ClientOptions struct {
 func (o ClientOptions) withDefaults() ClientOptions {
 	if o.RequestTimeout <= 0 {
 		o.RequestTimeout = 30 * time.Second
-	}
-	if o.BootstrapTimeout <= 0 {
-		o.BootstrapTimeout = 2 * time.Minute
 	}
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 5 * time.Second
@@ -222,7 +214,7 @@ func NewClient(addr string, opts ClientOptions) *Client {
 // Dial builds a client and verifies the server responds to a ping.
 func Dial(addr string, opts ClientOptions) (*Client, error) {
 	c := NewClient(addr, opts)
-	if err := c.Ping(); err != nil {
+	if _, err := c.Ping(); err != nil {
 		c.Close()
 		return nil, err
 	}
@@ -495,62 +487,22 @@ func (c *Client) call(ctx context.Context, typ byte, payload []byte, timeout tim
 	return resp, n, nil
 }
 
-// Ping checks that the server is reachable and speaks the protocol.
-func (c *Client) Ping() error {
+// Ping checks that the server is reachable and speaks the protocol, and
+// returns what the site reports about itself.
+func (c *Client) Ping() (SiteInfo, error) {
 	resp, _, err := c.call(context.Background(), MsgPing, nil, c.opts.RequestTimeout)
 	if err != nil {
-		return err
+		return SiteInfo{}, err
 	}
 	if resp.typ != MsgOK {
-		return fmt.Errorf("transport: ping: unexpected %s response", msgName(resp.typ))
+		return SiteInfo{}, fmt.Errorf("transport: ping: unexpected %s response", msgName(resp.typ))
 	}
-	return nil
+	return decodeSiteInfo(resp.payload)
 }
 
-// BootstrapGraph ships the full-graph snapshot so the site shares the
-// coordinator's dictionaries (binding IDs must be comparable across
-// sites). Cancelling ctx abandons the request — snapshots are large, so
-// a caller tearing down a half-finished bootstrap must not block on it.
-func (c *Client) BootstrapGraph(ctx context.Context, g *rdf.Graph) error {
-	var buf bytes.Buffer
-	if err := rdf.WriteSnapshot(&buf, g); err != nil {
-		return fmt.Errorf("transport: encode snapshot: %w", err)
-	}
-	resp, _, err := c.call(ctx, MsgBootstrapGraph, buf.Bytes(), c.opts.BootstrapTimeout)
-	if err != nil {
-		return err
-	}
-	if resp.typ != MsgOK {
-		return fmt.Errorf("transport: bootstrap graph: unexpected %s response", msgName(resp.typ))
-	}
-	return nil
-}
-
-// BootstrapTriples tells the site which triples of the bootstrapped graph
-// form its partition; the site builds its store from them.
-func (c *Client) BootstrapTriples(ctx context.Context, idx []int32) error {
-	payload := AppendTripleIdx(make([]byte, 0, 10+2*len(idx)), idx)
-	resp, _, err := c.call(ctx, MsgBootstrapTriples, payload, c.opts.BootstrapTimeout)
-	if err != nil {
-		return err
-	}
-	if resp.typ != MsgOK {
-		return fmt.Errorf("transport: bootstrap triples: unexpected %s response", msgName(resp.typ))
-	}
-	return nil
-}
-
-// Bootstrap ships the graph then the site's triple set in one call.
-func (c *Client) Bootstrap(ctx context.Context, g *rdf.Graph, idx []int32) error {
-	if err := c.BootstrapGraph(ctx, g); err != nil {
-		return err
-	}
-	return c.BootstrapTriples(ctx, idx)
-}
-
-// ApplyUpdate implements cluster.SiteUpdater: it ships a committed update
-// batch to the site, which applies it to its graph replica and store.
-// Unlike queries, an update mutates the site — but retries are still
+// ApplyUpdate implements cluster.SiteUpdater: it ships this site's share of
+// a committed update batch, which the site applies to its dictionaries and
+// store. Unlike queries, an update mutates the site — but retries are still
 // safe: the batch's sequence number makes server-side replay idempotent
 // (a re-delivered batch returns the recorded result without reapplying).
 func (c *Client) ApplyUpdate(ctx context.Context, batch cluster.UpdateBatch) (cluster.SiteUpdateResult, error) {
@@ -566,7 +518,7 @@ func (c *Client) ApplyUpdate(ctx context.Context, batch cluster.UpdateBatch) (cl
 }
 
 // ApplyMigrate implements cluster.SiteMigrator: it ships one migration
-// phase's triples to the site's store over the protocol-v4 migration RPC.
+// phase's triples to the site's store.
 // Retries are safe by the same mechanism as updates — the shipment's
 // sequence number makes server-side replay idempotent.
 func (c *Client) ApplyMigrate(ctx context.Context, batch cluster.MigrateBatch) (cluster.SiteUpdateResult, error) {
@@ -582,28 +534,13 @@ func (c *Client) ApplyMigrate(ctx context.Context, batch cluster.MigrateBatch) (
 	return DecodeUpdateResult(resp.payload)
 }
 
-// ExecuteSub implements cluster.Site: it evaluates sub on the remote
-// store and returns the binding table along with measured wire stats.
+// ExecuteSub implements cluster.Site: a batch of one.
 func (c *Client) ExecuteSub(ctx context.Context, sub *sparql.Query, opts cluster.SubOpts) (*store.Table, cluster.SubStats, error) {
-	timeout := c.opts.RequestTimeout
-	if opts.Timeout > 0 {
-		timeout = opts.Timeout
-	}
-	payload := AppendQuery(make([]byte, 0, 256), sub)
-	t0 := time.Now()
-	resp, n, err := c.call(ctx, MsgQuery, payload, timeout)
-	st := cluster.SubStats{BytesShipped: n, WireTime: time.Since(t0)}
+	tabs, st, err := c.ExecuteSubBatch(ctx, []*sparql.Query{sub}, opts)
 	if err != nil {
 		return nil, st, err
 	}
-	if resp.typ != MsgTable {
-		return nil, st, fmt.Errorf("transport: query: unexpected %s response", msgName(resp.typ))
-	}
-	tab, _, err := store.DecodeTable(resp.payload)
-	if err != nil {
-		return nil, st, err
-	}
-	return tab, st, nil
+	return tabs[0], st, nil
 }
 
 // ExecuteSubBatch implements cluster.BatchSite: it evaluates all the

@@ -34,7 +34,6 @@ type ErrorCode uint32
 const (
 	CodeInternal   ErrorCode = iota + 1 // evaluation failed at the site
 	CodeBadRequest                      // malformed payload or unknown message type
-	CodeNoStore                         // query before bootstrap completed
 	CodeDraining                        // server is shutting down
 )
 
@@ -45,8 +44,6 @@ func (c ErrorCode) String() string {
 		return "internal"
 	case CodeBadRequest:
 		return "bad_request"
-	case CodeNoStore:
-		return "no_store"
 	case CodeDraining:
 		return "draining"
 	default:

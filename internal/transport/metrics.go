@@ -2,6 +2,10 @@ package transport
 
 import "mpc/internal/obs"
 
+// requestTypes are the message types a client sends; each gets a latency
+// histogram on both ends.
+var requestTypes = []byte{MsgPing, MsgQueryBatch, MsgUpdate, MsgMigrateBatch}
+
 // clientMetrics holds the client's pre-resolved instrument handles. Built
 // from a nil registry every handle is nil and recording is a no-op (see
 // internal/obs).
@@ -18,7 +22,7 @@ type clientMetrics struct {
 	migBytes *obs.Counter // transport.migrate_bytes
 
 	// rpcNS holds one latency histogram per request type the client sends
-	// (transport.rpc_ns.query etc.), indexed by message type byte.
+	// (transport.rpc_ns.query_batch etc.), indexed by message type byte.
 	rpcNS [maxMsgType + 1]*obs.Histogram
 }
 
@@ -36,7 +40,7 @@ func newClientMetrics(r *obs.Registry) clientMetrics {
 		dials:    r.Counter("transport.dials"),
 		migBytes: r.Counter("transport.migrate_bytes"),
 	}
-	for _, t := range []byte{MsgPing, MsgBootstrapGraph, MsgBootstrapTriples, MsgQuery, MsgQueryBatch, MsgUpdate, MsgMigrateBatch} {
+	for _, t := range requestTypes {
 		m.rpcNS[t] = r.Histogram("transport.rpc_ns." + msgName(t))
 	}
 	return m
@@ -51,7 +55,7 @@ type serverMetrics struct {
 	activeConns *obs.Gauge   // transport.server.active_conns
 
 	// rpcNS is one handling-latency histogram per request type
-	// (transport.server.rpc_ns.query etc.).
+	// (transport.server.rpc_ns.query_batch etc.).
 	rpcNS [maxMsgType + 1]*obs.Histogram
 }
 
@@ -67,7 +71,7 @@ func newServerMetrics(r *obs.Registry) serverMetrics {
 		errors:      r.Counter("transport.server.errors"),
 		activeConns: r.Gauge("transport.server.active_conns"),
 	}
-	for _, t := range []byte{MsgPing, MsgBootstrapGraph, MsgBootstrapTriples, MsgQuery, MsgQueryBatch, MsgUpdate, MsgMigrateBatch} {
+	for _, t := range requestTypes {
 		m.rpcNS[t] = r.Histogram("transport.server.rpc_ns." + msgName(t))
 	}
 	return m

@@ -9,6 +9,7 @@ import (
 	"mpc/internal/cluster"
 	"mpc/internal/rdf"
 	"mpc/internal/sparql"
+	"mpc/internal/store"
 )
 
 func TestMigrateCodecRoundtrip(t *testing.T) {
@@ -76,23 +77,19 @@ func absentTriple(t *testing.T, g *rdf.Graph) rdf.Triple {
 	return rdf.Triple{}
 }
 
-// TestMigrateEndToEndIdempotent ships migration batches to a bootstrapped
-// server: inserts land in the store, deletes remove them, replays return
+// TestMigrateEndToEndIdempotent ships migration batches to a server: inserts land in the store, deletes remove them, replays return
 // the recorded result without reapplying, stale sequence numbers are
 // refused, and the migration sequence space is independent of the update
 // sequence space.
 func TestMigrateEndToEndIdempotent(t *testing.T) {
 	ctx := context.Background()
 	g := testGraph(t)
-	_, addr := startServer(t, ServerOptions{})
+	_, addr := startServer(t, store.New(g, allTriples(g)))
 	c, err := Dial(addr, ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Bootstrap(ctx, g, allTriples(g)); err != nil {
-		t.Fatal(err)
-	}
 
 	scan := &sparql.Query{Patterns: []sparql.TriplePattern{{
 		S: sparql.Term{IsVar: true, Value: "s"},

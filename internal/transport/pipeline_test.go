@@ -73,7 +73,7 @@ func TestPipelineSharesConnections(t *testing.T) {
 			}
 			// A small service delay keeps many requests in flight at once.
 			time.Sleep(5 * time.Millisecond)
-			if _, err := writeFrame(conn, MsgOK, req.reqID, nil); err != nil {
+			if _, err := writeFrame(conn, MsgOK, req.reqID, pong); err != nil {
 				return
 			}
 		}
@@ -87,7 +87,7 @@ func TestPipelineSharesConnections(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := c.Ping(); err != nil {
+			if _, err := c.Ping(); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -120,11 +120,11 @@ func TestAbandonedRequestKeepsConnection(t *testing.T) {
 				// caller times out and abandons the request.
 				go func(id uint64) {
 					<-release
-					writeFrame(conn, MsgOK, id, nil)
+					writeFrame(conn, MsgOK, id, pong)
 				}(req.reqID)
 				continue
 			}
-			writeFrame(conn, MsgOK, req.reqID, nil)
+			writeFrame(conn, MsgOK, req.reqID, pong)
 		}
 	})
 	c := NewClient(addr, ClientOptions{
@@ -134,11 +134,11 @@ func TestAbandonedRequestKeepsConnection(t *testing.T) {
 	})
 	defer c.Close()
 
-	if err := c.Ping(); err == nil {
+	if _, err := c.Ping(); err == nil {
 		t.Fatal("wedged first request should have timed out")
 	}
 	// The same (sole) connection must answer the follow-up.
-	if err := c.Ping(); err != nil {
+	if _, err := c.Ping(); err != nil {
 		t.Fatalf("follow-up request on the surviving connection failed: %v", err)
 	}
 	if n := conns.Load(); n != 1 {

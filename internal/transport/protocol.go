@@ -22,21 +22,20 @@
 // (the server handles each request on its own goroutine and writes
 // responses in completion order), and each side matches frames by ID —
 // the client's per-connection demux loop routes responses to waiting
-// callers and drops responses to abandoned requests. The frame layout is
-// unchanged from the one-request-at-a-time protocol, so the version byte
-// stays at 1. Payload encodings are hand-rolled and allocation-light:
-// binding tables reuse the flat row-major layout of store.Table (see
-// store.AppendTable), queries and bootstrap payloads use uvarint framing.
+// callers and drops responses to abandoned requests. Payload encodings are
+// hand-rolled and allocation-light: binding tables reuse the flat
+// row-major layout of store.Table (see store.AppendTable), everything else
+// uses uvarint framing.
 //
-// Message types:
+// A site is a store: it is opened from a per-site snapshot (or handed a
+// store in-process) before it listens, so the protocol has no bring-up
+// messages — only a probe, a read RPC and two write RPCs. The nine message
+// types:
 //
-//	MsgPing             → MsgOK                   liveness/handshake probe
-//	MsgBootstrapGraph   → MsgOK                   full-graph snapshot (rdf.WriteSnapshot bytes)
-//	MsgBootstrapTriples → MsgOK                   triple indices into the bootstrapped graph
-//	MsgQuery            → MsgTable|MsgError       evaluate a subquery, return bindings
-//	MsgUpdate           → MsgUpdateResult|MsgError apply a committed update batch
-//	MsgQueryBatch       → MsgTableBatch|MsgError  evaluate several subqueries in one frame
-//	MsgMigrateBatch     → MsgMigrateResult|MsgError apply a migration shipment to the store
+//	MsgPing         → MsgOK                      liveness probe; the reply carries SiteInfo
+//	MsgQueryBatch   → MsgTableBatch|MsgError     evaluate the subqueries of one plan bound for this site
+//	MsgUpdate       → MsgUpdateResult|MsgError   apply this site's share of a committed update batch
+//	MsgMigrateBatch → MsgMigrateResult|MsgError  apply a migration shipment to the store
 //
 // MsgError is a valid response to any request; it carries a numeric code
 // and a message and is surfaced by the client as a *RemoteError.
@@ -56,16 +55,9 @@ import (
 // Handshake constants. The version byte is bumped on any incompatible
 // frame or payload change; peers with mismatched versions refuse the
 // connection at handshake time rather than misparsing frames later.
-// Version 2 added the MsgUpdate/MsgUpdateResult pair (live triple
-// updates); a v1 peer would answer MsgUpdate with a bad-request error
-// instead of mutating, so the bump fails the mismatch loudly at
-// handshake time. Version 3 added MsgQueryBatch/MsgTableBatch (one frame
-// per plan per site instead of one per subquery). Version 4 added
-// MsgMigrateBatch/MsgMigrateResult, the live-migration shipment RPC of
-// the adaptive repartitioner.
 const (
 	Magic   = "MPCT"
-	Version = 4
+	Version = 5
 )
 
 // handshakeLen is magic + version + one pad byte.
@@ -76,10 +68,6 @@ const (
 	MsgPing byte = iota + 1
 	MsgOK
 	MsgError
-	MsgBootstrapGraph
-	MsgBootstrapTriples
-	MsgQuery
-	MsgTable
 	MsgUpdate
 	MsgUpdateResult
 	MsgQueryBatch
@@ -101,14 +89,6 @@ func msgName(t byte) string {
 		return "ok"
 	case MsgError:
 		return "error"
-	case MsgBootstrapGraph:
-		return "bootstrap_graph"
-	case MsgBootstrapTriples:
-		return "bootstrap_triples"
-	case MsgQuery:
-		return "query"
-	case MsgTable:
-		return "table"
 	case MsgUpdate:
 		return "update"
 	case MsgUpdateResult:
@@ -126,9 +106,9 @@ func msgName(t byte) string {
 	}
 }
 
-// MaxFrameBytes bounds a single frame payload. Large enough for a
-// benchmark graph snapshot, small enough that a corrupt length prefix
-// cannot drive an unbounded allocation.
+// MaxFrameBytes bounds a single frame payload. Large enough for the
+// biggest result table a site returns, small enough that a corrupt length
+// prefix cannot drive an unbounded allocation.
 const MaxFrameBytes = 1 << 30
 
 // frameHeaderLen is payload length (4) + type (1) + request ID (8).
@@ -378,7 +358,8 @@ const maxBatchQueries = 1 << 16
 // AppendQueryBatch appends the wire encoding of a subquery batch.
 func AppendQueryBatch(buf []byte, subs []*sparql.Query) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(subs)))
-	var qbuf []byte
+	var scratch [256]byte // typical subqueries encode without leaving the stack
+	qbuf := scratch[:0]
 	for _, q := range subs {
 		qbuf = AppendQuery(qbuf[:0], q)
 		buf = binary.AppendUvarint(buf, uint64(len(qbuf)))
@@ -420,12 +401,19 @@ func DecodeQueryBatch(data []byte) ([]*sparql.Query, error) {
 }
 
 // AppendTableBatch appends the wire encoding of the per-query result
-// tables of a batch.
+// tables of a batch. The buffer is grown once, up front, to hold the whole
+// encoding, so a batch of one large table costs one allocation and one copy.
 func AppendTableBatch(buf []byte, tabs []*store.Table) []byte {
+	total := binary.MaxVarintLen64
+	for _, tab := range tabs {
+		total += binary.MaxVarintLen64 + store.EncodedTableSize(tab)
+	}
+	if need := len(buf) + total; need > cap(buf) {
+		buf = append(make([]byte, 0, need), buf...)
+	}
 	buf = binary.AppendUvarint(buf, uint64(len(tabs)))
 	for _, tab := range tabs {
-		n := store.EncodedTableSize(tab)
-		buf = binary.AppendUvarint(buf, uint64(n))
+		buf = binary.AppendUvarint(buf, uint64(store.EncodedTableSize(tab)))
 		buf = store.AppendTable(buf, tab)
 	}
 	return buf
@@ -466,73 +454,82 @@ func DecodeTableBatch(data []byte) ([]*store.Table, error) {
 	return tabs, nil
 }
 
-// Triple-index payload codec (MsgBootstrapTriples): uvarint count then
-// delta-encoded uvarint indices. Site triple lists come out of the
-// partitioner mostly sorted, so deltas keep the bootstrap frame small.
-
-// AppendTripleIdx appends the wire encoding of a triple-index list.
-func AppendTripleIdx(buf []byte, idx []int32) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(idx)))
-	prev := int64(0)
-	for _, v := range idx {
-		delta := int64(v) - prev
-		buf = binary.AppendVarint(buf, delta)
-		prev = int64(v)
-	}
-	return buf
-}
-
-// maxTripleIdx bounds the decoded index count (256M triples per site).
-const maxTripleIdx = 1 << 28
-
-// DecodeTripleIdx decodes a triple-index list.
-func DecodeTripleIdx(data []byte) ([]int32, error) {
-	pos := 0
-	count, n := binary.Uvarint(data)
-	if n <= 0 {
-		return nil, fmt.Errorf("transport: triple-index codec: truncated count")
-	}
-	pos += n
-	if count > maxTripleIdx {
-		return nil, fmt.Errorf("transport: triple-index codec: %d indices exceeds limit", count)
-	}
-	idx := make([]int32, count)
-	prev := int64(0)
-	for i := range idx {
-		delta, n := binary.Varint(data[pos:])
-		if n <= 0 {
-			return nil, fmt.Errorf("transport: triple-index codec: truncated index %d", i)
-		}
-		pos += n
-		prev += delta
-		if prev < 0 || prev > 1<<31-1 {
-			return nil, fmt.Errorf("transport: triple-index codec: index %d out of range: %d", i, prev)
-		}
-		idx[i] = int32(prev)
-	}
-	if pos != len(data) {
-		return nil, fmt.Errorf("transport: triple-index codec: %d trailing bytes", len(data)-pos)
-	}
-	return idx, nil
-}
-
-// Update payload codec (MsgUpdate): the committed batch a coordinator
-// fans out to one site —
-//
-//	uvarint Seq
-//	uvarint BaseVertices,   uvarint count, count strings (dict delta)
-//	uvarint BaseProperties, uvarint count, count strings
-//	uvarint op count, then per op: one flag byte (bit0 insert, bit1
-//	local) + uvarint S, P, O
-//
-// Ops carry resolved dense IDs, not raw terms: the delta pins the same
-// term→ID assignment on the replica first, so IDs mean the same thing on
-// both ends. Slots are deliberately absent — the replica's graph finds
-// its own slots, and all cross-site data moves by value.
+// Op-list codec, shared by the two write RPCs: uvarint op count, then per
+// op one insert-flag byte + uvarint S, P, O. Ops carry resolved dense IDs,
+// not raw terms — the sites share the coordinator's dictionaries, so IDs
+// mean the same thing on both ends — and every op in a list is for the
+// receiving site's store.
 
 // maxUpdateOps bounds a decoded batch so a corrupt count cannot drive an
 // unbounded allocation.
 const maxUpdateOps = 1 << 24
+
+// appendOps appends the wire encoding of an op list.
+func appendOps(buf []byte, ops []rdf.ResolvedUpdate) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(ops)))
+	for _, op := range ops {
+		var flag byte
+		if op.Insert {
+			flag = 1
+		}
+		buf = append(buf, flag)
+		buf = binary.AppendUvarint(buf, uint64(uint32(op.T.S)))
+		buf = binary.AppendUvarint(buf, uint64(uint32(op.T.P)))
+		buf = binary.AppendUvarint(buf, uint64(uint32(op.T.O)))
+	}
+	return buf
+}
+
+// ops decodes an op list and requires it to end the payload.
+func (d *queryDecoder) ops() ([]rdf.ResolvedUpdate, error) {
+	nOps, err := d.uvarint("op count")
+	if err != nil {
+		return nil, err
+	}
+	if nOps > maxUpdateOps {
+		return nil, fmt.Errorf("transport: codec: %d ops exceeds limit", nOps)
+	}
+	ops := make([]rdf.ResolvedUpdate, nOps)
+	for i := range ops {
+		if d.pos >= len(d.data) {
+			return nil, fmt.Errorf("transport: codec: truncated op %d", i)
+		}
+		flag := d.data[d.pos]
+		d.pos++
+		if flag > 1 {
+			return nil, fmt.Errorf("transport: codec: bad op flag %d", flag)
+		}
+		ops[i].Insert = flag == 1
+		var ids [3]uint64
+		for j, what := range [...]string{"op S", "op P", "op O"} {
+			if ids[j], err = d.uvarint(what); err != nil {
+				return nil, err
+			}
+			if ids[j] > 1<<32-1 {
+				return nil, fmt.Errorf("transport: codec: %s %d out of range", what, ids[j])
+			}
+		}
+		ops[i].T = rdf.Triple{
+			S: rdf.VertexID(ids[0]),
+			P: rdf.PropertyID(ids[1]),
+			O: rdf.VertexID(ids[2]),
+		}
+	}
+	if d.pos != len(d.data) {
+		return nil, fmt.Errorf("transport: codec: %d trailing bytes", len(d.data)-d.pos)
+	}
+	return ops, nil
+}
+
+// Update payload codec (MsgUpdate): one site's share of a committed batch —
+//
+//	uvarint Seq
+//	uvarint BaseVertices,   uvarint count, count strings (dict delta)
+//	uvarint BaseProperties, uvarint count, count strings
+//	op list
+//
+// The delta pins the same term→ID assignment on the site's dictionaries
+// before the ops reference the new IDs.
 
 // AppendUpdateBatch appends the wire encoding of an update batch.
 func AppendUpdateBatch(buf []byte, b cluster.UpdateBatch) []byte {
@@ -547,37 +544,17 @@ func AppendUpdateBatch(buf []byte, b cluster.UpdateBatch) []byte {
 	for _, s := range b.Delta.NewProperties {
 		buf = appendString(buf, s)
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(b.Ops)))
-	for _, op := range b.Ops {
-		var flag byte
-		if op.Insert {
-			flag |= 1
-		}
-		if op.Local {
-			flag |= 2
-		}
-		buf = append(buf, flag)
-		buf = binary.AppendUvarint(buf, uint64(uint32(op.T.S)))
-		buf = binary.AppendUvarint(buf, uint64(uint32(op.T.P)))
-		buf = binary.AppendUvarint(buf, uint64(uint32(op.T.O)))
-	}
-	return buf
+	return appendOps(buf, b.Ops)
 }
 
 // DecodeUpdateBatch decodes a payload produced by AppendUpdateBatch.
 func DecodeUpdateBatch(data []byte) (cluster.UpdateBatch, error) {
 	d := &queryDecoder{data: data}
 	var b cluster.UpdateBatch
-	// Decoder errors carry their own "transport: codec" prefix; fail only
-	// wraps errors detected here.
-	fail := func(err error) (cluster.UpdateBatch, error) {
-		return cluster.UpdateBatch{}, fmt.Errorf("transport: codec: update: %w", err)
-	}
-	seq, err := d.uvarint("seq")
-	if err != nil {
+	var err error
+	if b.Seq, err = d.uvarint("seq"); err != nil {
 		return cluster.UpdateBatch{}, err
 	}
-	b.Seq = seq
 	strs := func(what string) (base int, out []string, err error) {
 		bv, err := d.uvarint(what + " base")
 		if err != nil {
@@ -605,48 +582,14 @@ func DecodeUpdateBatch(data []byte) (cluster.UpdateBatch, error) {
 	if b.Delta.BaseProperties, b.Delta.NewProperties, err = strs("property"); err != nil {
 		return cluster.UpdateBatch{}, err
 	}
-	nOps, err := d.uvarint("op count")
-	if err != nil {
+	if b.Ops, err = d.ops(); err != nil {
 		return cluster.UpdateBatch{}, err
-	}
-	if nOps > maxUpdateOps {
-		return fail(fmt.Errorf("%d ops exceeds limit", nOps))
-	}
-	b.Ops = make([]cluster.UpdateOp, nOps)
-	for i := range b.Ops {
-		if d.pos >= len(d.data) {
-			return fail(fmt.Errorf("truncated op %d", i))
-		}
-		flag := d.data[d.pos]
-		d.pos++
-		if flag > 3 {
-			return fail(fmt.Errorf("bad op flag %d", flag))
-		}
-		b.Ops[i].Insert = flag&1 != 0
-		b.Ops[i].Local = flag&2 != 0
-		var ids [3]uint64
-		for j, what := range [...]string{"op S", "op P", "op O"} {
-			if ids[j], err = d.uvarint(what); err != nil {
-				return cluster.UpdateBatch{}, err
-			}
-			if ids[j] > 1<<32-1 {
-				return fail(fmt.Errorf("%s %d out of range", what, ids[j]))
-			}
-		}
-		b.Ops[i].T = rdf.Triple{
-			S: rdf.VertexID(ids[0]),
-			P: rdf.PropertyID(ids[1]),
-			O: rdf.VertexID(ids[2]),
-		}
-	}
-	if d.pos != len(data) {
-		return fail(fmt.Errorf("%d trailing bytes", len(data)-d.pos))
 	}
 	return b, nil
 }
 
-// Update-result payload codec (MsgUpdateResult): the site store's apply
-// stats as three uvarints.
+// Update-result payload codec (MsgUpdateResult, MsgMigrateResult): the
+// site store's apply stats as three uvarints.
 
 // AppendUpdateResult appends the wire encoding of an update result.
 func AppendUpdateResult(buf []byte, r cluster.SiteUpdateResult) []byte {
@@ -655,104 +598,78 @@ func AppendUpdateResult(buf []byte, r cluster.SiteUpdateResult) []byte {
 	return binary.AppendUvarint(buf, uint64(r.Stats.NotFound))
 }
 
-// DecodeUpdateResult decodes a payload produced by AppendUpdateResult.
-func DecodeUpdateResult(data []byte) (cluster.SiteUpdateResult, error) {
+// uvarints decodes exactly len(out) uvarints that must fill the payload.
+func uvarints(data []byte, what string, out ...*int) error {
 	d := &queryDecoder{data: data}
-	var r cluster.SiteUpdateResult
-	var err error
-	get := func(what string) int {
-		var v uint64
-		if err == nil {
-			v, err = d.uvarint(what)
+	for _, p := range out {
+		v, err := d.uvarint(what)
+		if err != nil {
+			return err
 		}
-		return int(v)
-	}
-	r.Stats.Inserted = get("inserted")
-	r.Stats.Deleted = get("deleted")
-	r.Stats.NotFound = get("not-found")
-	if err != nil {
-		return cluster.SiteUpdateResult{}, fmt.Errorf("transport: update-result codec: %w", err)
+		*p = int(v)
 	}
 	if d.pos != len(data) {
-		return cluster.SiteUpdateResult{}, fmt.Errorf("transport: update-result codec: %d trailing bytes", len(data)-d.pos)
+		return fmt.Errorf("transport: codec: %s: %d trailing bytes", what, len(data)-d.pos)
+	}
+	return nil
+}
+
+// DecodeUpdateResult decodes a payload produced by AppendUpdateResult.
+func DecodeUpdateResult(data []byte) (cluster.SiteUpdateResult, error) {
+	var r cluster.SiteUpdateResult
+	if err := uvarints(data, "update result", &r.Stats.Inserted, &r.Stats.Deleted, &r.Stats.NotFound); err != nil {
+		return cluster.SiteUpdateResult{}, err
 	}
 	return r, nil
 }
 
-// Migration payload codec (MsgMigrateBatch → MsgMigrateResult, protocol
-// v4). A migration shipment is leaner than an update batch: no dictionary
-// delta (every shipped triple is live, so its terms are already interned
-// at every site) and no Local flags (every op is for the receiving site's
-// store by construction). Just the idempotency seq, the op count, and one
-// insert-flag byte plus three uvarint IDs per op. The MsgMigrateResult
-// payload is the store's apply stats, reusing the update-result codec.
+// Migration payload codec (MsgMigrateBatch): the idempotency seq and the
+// op list. No dictionary delta — every shipped triple is live, so its terms
+// are already interned at every site.
 
 // AppendMigrateBatch appends the wire encoding of a migration shipment.
 func AppendMigrateBatch(buf []byte, b cluster.MigrateBatch) []byte {
-	buf = binary.AppendUvarint(buf, b.Seq)
-	buf = binary.AppendUvarint(buf, uint64(len(b.Ops)))
-	for _, op := range b.Ops {
-		var flag byte
-		if op.Insert {
-			flag = 1
-		}
-		buf = append(buf, flag)
-		buf = binary.AppendUvarint(buf, uint64(uint32(op.T.S)))
-		buf = binary.AppendUvarint(buf, uint64(uint32(op.T.P)))
-		buf = binary.AppendUvarint(buf, uint64(uint32(op.T.O)))
-	}
-	return buf
+	return appendOps(binary.AppendUvarint(buf, b.Seq), b.Ops)
 }
 
 // DecodeMigrateBatch decodes a payload produced by AppendMigrateBatch.
 func DecodeMigrateBatch(data []byte) (cluster.MigrateBatch, error) {
 	d := &queryDecoder{data: data}
 	var b cluster.MigrateBatch
-	fail := func(err error) (cluster.MigrateBatch, error) {
-		return cluster.MigrateBatch{}, fmt.Errorf("transport: codec: migrate: %w", err)
-	}
-	seq, err := d.uvarint("seq")
-	if err != nil {
+	var err error
+	if b.Seq, err = d.uvarint("seq"); err != nil {
 		return cluster.MigrateBatch{}, err
 	}
-	b.Seq = seq
-	nOps, err := d.uvarint("op count")
-	if err != nil {
+	if b.Ops, err = d.ops(); err != nil {
 		return cluster.MigrateBatch{}, err
-	}
-	if nOps > maxUpdateOps {
-		return fail(fmt.Errorf("%d ops exceeds limit", nOps))
-	}
-	b.Ops = make([]rdf.ResolvedUpdate, nOps)
-	for i := range b.Ops {
-		if d.pos >= len(d.data) {
-			return fail(fmt.Errorf("truncated op %d", i))
-		}
-		flag := d.data[d.pos]
-		d.pos++
-		if flag > 1 {
-			return fail(fmt.Errorf("bad op flag %d", flag))
-		}
-		b.Ops[i].Insert = flag == 1
-		var ids [3]uint64
-		for j, what := range [...]string{"op S", "op P", "op O"} {
-			if ids[j], err = d.uvarint(what); err != nil {
-				return cluster.MigrateBatch{}, err
-			}
-			if ids[j] > 1<<32-1 {
-				return fail(fmt.Errorf("%s %d out of range", what, ids[j]))
-			}
-		}
-		b.Ops[i].T = rdf.Triple{
-			S: rdf.VertexID(ids[0]),
-			P: rdf.PropertyID(ids[1]),
-			O: rdf.VertexID(ids[2]),
-		}
-	}
-	if d.pos != len(data) {
-		return fail(fmt.Errorf("%d trailing bytes", len(data)-d.pos))
 	}
 	return b, nil
+}
+
+// SiteInfo is what a site reports about itself in its MsgPing reply: the
+// size of its store and of its dictionaries. A coordinator compares it
+// with its own layout (Verify) so a seed, k or strategy that differs from
+// the one the snapshots were exported with fails at connect time.
+type SiteInfo struct {
+	Triples    int
+	Vertices   int
+	Properties int
+}
+
+// appendSiteInfo appends the wire encoding of a ping reply: three uvarints.
+func appendSiteInfo(buf []byte, si SiteInfo) []byte {
+	buf = binary.AppendUvarint(buf, uint64(si.Triples))
+	buf = binary.AppendUvarint(buf, uint64(si.Vertices))
+	return binary.AppendUvarint(buf, uint64(si.Properties))
+}
+
+// decodeSiteInfo decodes a ping reply.
+func decodeSiteInfo(data []byte) (SiteInfo, error) {
+	var si SiteInfo
+	if err := uvarints(data, "site info", &si.Triples, &si.Vertices, &si.Properties); err != nil {
+		return SiteInfo{}, err
+	}
+	return si, nil
 }
 
 // Error payload codec (MsgError): uvarint code + message string.

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"fmt"
 	"net"
@@ -17,76 +16,72 @@ import (
 
 // ServerOptions configures a site server.
 type ServerOptions struct {
-	// Graph preloads the shared-dictionary graph, so bootstrap only needs
-	// to send triple indices (MsgBootstrapTriples) instead of a full
-	// snapshot. Optional.
-	Graph *rdf.Graph
-	// Store preloads a ready store; the server answers queries immediately
-	// without any bootstrap. Optional.
+	// Store is the site: one partition's triples plus the dictionaries
+	// every site shares (Store.Graph). Required. A snapshot-opened store
+	// has a dictionary-only graph; a store handed over in-process may share
+	// the coordinator's graph object.
 	Store *store.Store
+	// Graph is redundant with Store and kept for callers that set both:
+	// leave it nil or set it to Store.Graph(). Serve rejects anything else.
+	Graph *rdf.Graph
 	// Obs receives server metrics (bytes, per-type latency, request
 	// counters). Nil disables instrumentation.
 	Obs *obs.Registry
 }
 
-// Server is one site of the cluster as a network endpoint: it holds (or is
-// bootstrapped with) one partition's store and evaluates subqueries sent by
-// the coordinator. Connections are handled one read loop each; every
-// request on a connection is handled on its own goroutine and responses are
-// written back (in completion order, identified by request ID) under a
+// Server is one site of the cluster as a network endpoint: it holds one
+// partition's store and evaluates subqueries sent by the coordinator.
+// Connections are handled one read loop each; every request on a
+// connection is handled on its own goroutine and responses are written
+// back (in completion order, identified by request ID) under a
 // per-connection write lock — the server side of the client's pipelined
 // multiplexing. maxConnInflight bounds the per-connection handler fan-out;
 // beyond it the read loop stops pulling frames and TCP backpressure takes
 // over.
 type Server struct {
-	opts ServerOptions
-	met  serverMetrics
+	store   *store.Store
+	optsErr error // what was wrong with the ServerOptions; Serve reports it
+	met     serverMetrics
 
 	mu       sync.Mutex
-	graph    *rdf.Graph
-	store    *store.Store
 	lis      net.Listener
 	conns    map[net.Conn]struct{}
 	draining bool
 	closed   bool
 
-	// updMu serializes the mutating requests — updates and bootstraps —
-	// against each other; queries stay concurrent (the store carries its
-	// own read-write lock). lastSeq/lastResult make update replay
-	// idempotent: a retried batch (same sequence number) returns the
-	// recorded result instead of double-mutating the replica.
-	updMu      sync.Mutex
-	lastSeq    uint64
-	lastResult []byte
-	// Migration shipments keep their own replay state: the coordinator
-	// numbers them independently of update batches (see
-	// cluster.MigrateBatch).
-	lastMigSeq    uint64
-	lastMigResult []byte
+	// updMu serializes the mutating requests against each other; queries
+	// stay concurrent (the store carries its own read-write lock). Updates
+	// and migration shipments are numbered independently by the coordinator
+	// (see cluster.MigrateBatch), so each keeps its own replay history.
+	updMu    sync.Mutex
+	updates  replayLog
+	migrates replayLog
 
 	inflight sync.WaitGroup // in-flight request handlers
 }
 
-// NewServer builds a server; call Serve or ListenAndServe to start it.
-func NewServer(opts ServerOptions) *Server {
-	return &Server{
-		opts:  opts,
-		met:   newServerMetrics(opts.Obs),
-		graph: opts.Graph,
-		store: opts.Store,
-		conns: make(map[net.Conn]struct{}),
-	}
+// replayLog makes one sequence space of mutating requests idempotent: a
+// retried batch (same sequence number as the last applied one) returns the
+// recorded result instead of mutating the store twice.
+type replayLog struct {
+	lastSeq    uint64
+	lastResult []byte
 }
 
-// NumTriples returns the size of the currently served store (0 before
-// bootstrap).
-func (s *Server) NumTriples() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.store == nil {
-		return 0
+// NewServer builds a server; call Serve or ListenAndServe to start it.
+func NewServer(opts ServerOptions) *Server {
+	s := &Server{
+		store: opts.Store,
+		met:   newServerMetrics(opts.Obs),
+		conns: make(map[net.Conn]struct{}),
 	}
-	return s.store.NumTriples()
+	switch {
+	case opts.Store == nil:
+		s.optsErr = fmt.Errorf("transport: server has no store: open a site snapshot (dataio.OpenSiteStore) or hand one over")
+	case opts.Graph != nil && opts.Graph != opts.Store.Graph():
+		s.optsErr = fmt.Errorf("transport: ServerOptions.Graph is not the store's graph")
+	}
+	return s
 }
 
 // ListenAndServe listens on addr and serves until Shutdown or Close.
@@ -101,6 +96,10 @@ func (s *Server) ListenAndServe(addr string) error {
 // Serve accepts connections on l until the listener is closed (by Shutdown
 // or Close). It returns nil after a clean shutdown.
 func (s *Server) Serve(l net.Listener) error {
+	if s.optsErr != nil {
+		l.Close()
+		return s.optsErr
+	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -277,177 +276,45 @@ func (s *Server) handle(req frame) (byte, []byte) {
 	}
 	switch req.typ {
 	case MsgPing:
-		return MsgOK, nil
-
-	case MsgBootstrapGraph:
-		g, err := rdf.ReadSnapshot(bytes.NewReader(req.payload))
-		if err != nil {
-			return MsgError, appendErrorPayload(nil, uint64(CodeBadRequest), err.Error())
-		}
-		s.updMu.Lock()
-		defer s.updMu.Unlock()
-		s.mu.Lock()
-		s.graph = g
-		s.store = nil // a new graph invalidates any previous store
-		s.mu.Unlock()
-		// A fresh replica starts a fresh update and migration history.
-		s.lastSeq, s.lastResult = 0, nil
-		s.lastMigSeq, s.lastMigResult = 0, nil
-		return MsgOK, nil
-
-	case MsgBootstrapTriples:
-		idx, err := DecodeTripleIdx(req.payload)
-		if err != nil {
-			return MsgError, appendErrorPayload(nil, uint64(CodeBadRequest), err.Error())
-		}
-		s.updMu.Lock() // exclude concurrent graph mutation while reading triples
-		defer s.updMu.Unlock()
-		s.mu.Lock()
-		g := s.graph
-		s.mu.Unlock()
-		if g == nil {
-			return MsgError, appendErrorPayload(nil, uint64(CodeNoStore),
-				"no graph: send MsgBootstrapGraph or start the site with -graph")
-		}
-		for _, ti := range idx {
-			if int(ti) >= g.NumTriples() {
-				return MsgError, appendErrorPayload(nil, uint64(CodeBadRequest),
-					fmt.Sprintf("triple index %d out of range (graph has %d)", ti, g.NumTriples()))
-			}
-		}
-		st := store.New(g, idx)
-		st.Instrument(s.opts.Obs)
-		s.mu.Lock()
-		s.store = st
-		s.mu.Unlock()
-		return MsgOK, nil
+		g := s.store.Graph()
+		return MsgOK, appendSiteInfo(nil, SiteInfo{
+			Triples:    s.store.NumTriples(),
+			Vertices:   g.NumVertices(),
+			Properties: g.NumProperties(),
+		})
 
 	case MsgUpdate:
 		batch, err := DecodeUpdateBatch(req.payload)
 		if err != nil {
 			return MsgError, appendErrorPayload(nil, uint64(CodeBadRequest), err.Error())
 		}
-		s.updMu.Lock()
-		defer s.updMu.Unlock()
-		s.mu.Lock()
-		g, st := s.graph, s.store
-		s.mu.Unlock()
-		if g == nil {
-			return MsgError, appendErrorPayload(nil, uint64(CodeNoStore),
-				"no graph: send MsgBootstrapGraph or start the site with -graph")
-		}
-		if batch.Seq != 0 {
-			if batch.Seq == s.lastSeq {
-				// Retried batch: already applied, return the recorded result.
-				return MsgUpdateResult, s.lastResult
+		return s.applyOnce(&s.updates, "update", MsgUpdateResult, batch.Seq, func() (rdf.ApplyStats, error) {
+			// The delta first: the ops reference the IDs it assigns. A
+			// conflict means this site's dictionaries diverged from the
+			// coordinator's — it needs a fresh snapshot, not a retry.
+			if err := batch.Delta.Apply(s.store.Graph()); err != nil {
+				return rdf.ApplyStats{}, err
 			}
-			if batch.Seq < s.lastSeq {
-				return MsgError, appendErrorPayload(nil, uint64(CodeBadRequest),
-					fmt.Sprintf("stale update batch %d (already at %d)", batch.Seq, s.lastSeq))
-			}
-		}
-		if err := batch.Delta.Apply(g); err != nil {
-			// The replica's dictionaries diverged from the coordinator's:
-			// this replica needs a re-bootstrap, not a retry.
-			return MsgError, appendErrorPayload(nil, uint64(CodeInternal), err.Error())
-		}
-		// Every op mutates the full-graph replica; Local ops additionally
-		// mutate this site's store. The ops are trace-derived, so each
-		// delete matched a live triple on the coordinator — a miss here
-		// means divergence and is reported as such.
-		//
-		// A site opened from a v3 block snapshot is store-only: its graph
-		// carries dictionaries but no triples (and is not frozen), so there
-		// is no full-graph replica to maintain — the dict delta above plus
-		// the Local ops below are the whole update.
-		replica := g.Frozen()
-		var local []rdf.ResolvedUpdate
-		for _, op := range batch.Ops {
-			ru := rdf.ResolvedUpdate{Insert: op.Insert, T: op.T}
-			if replica {
-				if gst := g.ApplyResolved([]rdf.ResolvedUpdate{ru}); gst.NotFound > 0 {
-					return MsgError, appendErrorPayload(nil, uint64(CodeInternal),
-						fmt.Sprintf("replica diverged: delete of (%d,%d,%d) matched no live triple",
-							op.T.S, op.T.P, op.T.O))
-				}
-			}
-			if op.Local {
-				local = append(local, ru)
-			}
-		}
-		var res cluster.SiteUpdateResult
-		if st != nil {
-			res.Stats = st.ApplyResolved(local)
-		}
-		payload := AppendUpdateResult(nil, res)
-		s.lastSeq, s.lastResult = batch.Seq, payload
-		return MsgUpdateResult, payload
+			return s.store.ApplyResolved(batch.Ops), nil
+		})
 
 	case MsgMigrateBatch:
 		batch, err := DecodeMigrateBatch(req.payload)
 		if err != nil {
 			return MsgError, appendErrorPayload(nil, uint64(CodeBadRequest), err.Error())
 		}
-		s.updMu.Lock()
-		defer s.updMu.Unlock()
-		s.mu.Lock()
-		st := s.store
-		s.mu.Unlock()
-		if st == nil {
-			return MsgError, appendErrorPayload(nil, uint64(CodeNoStore),
-				"no store: bootstrap or open a snapshot before migrating")
-		}
-		if batch.Seq != 0 {
-			if batch.Seq == s.lastMigSeq {
-				// Retried shipment: already applied, return the recorded
-				// result.
-				return MsgMigrateResult, s.lastMigResult
-			}
-			if batch.Seq < s.lastMigSeq {
-				return MsgError, appendErrorPayload(nil, uint64(CodeBadRequest),
-					fmt.Sprintf("stale migration batch %d (already at %d)", batch.Seq, s.lastMigSeq))
-			}
-		}
-		// Migration moves placement, not data: only the store changes. The
-		// full-graph replica (when this site keeps one) must NOT absorb
-		// these ops — it mirrors the coordinator's graph, which migration
-		// leaves untouched.
-		res := cluster.SiteUpdateResult{Stats: st.ApplyResolved(batch.Ops)}
-		payload := AppendUpdateResult(nil, res)
-		s.lastMigSeq, s.lastMigResult = batch.Seq, payload
-		return MsgMigrateResult, payload
-
-	case MsgQuery:
-		s.mu.Lock()
-		st := s.store
-		s.mu.Unlock()
-		if st == nil {
-			return MsgError, appendErrorPayload(nil, uint64(CodeNoStore), "site not bootstrapped")
-		}
-		q, err := DecodeQuery(req.payload)
-		if err != nil {
-			return MsgError, appendErrorPayload(nil, uint64(CodeBadRequest), err.Error())
-		}
-		tab, err := st.Match(q)
-		if err != nil {
-			return MsgError, appendErrorPayload(nil, uint64(CodeInternal), err.Error())
-		}
-		return MsgTable, store.AppendTable(make([]byte, 0, store.EncodedTableSize(tab)), tab)
+		return s.applyOnce(&s.migrates, "migration", MsgMigrateResult, batch.Seq, func() (rdf.ApplyStats, error) {
+			return s.store.ApplyResolved(batch.Ops), nil
+		})
 
 	case MsgQueryBatch:
-		s.mu.Lock()
-		st := s.store
-		s.mu.Unlock()
-		if st == nil {
-			return MsgError, appendErrorPayload(nil, uint64(CodeNoStore), "site not bootstrapped")
-		}
 		subs, err := DecodeQueryBatch(req.payload)
 		if err != nil {
 			return MsgError, appendErrorPayload(nil, uint64(CodeBadRequest), err.Error())
 		}
 		tabs := make([]*store.Table, len(subs))
 		for i, q := range subs {
-			if tabs[i], err = st.Match(q); err != nil {
+			if tabs[i], err = s.store.Match(q); err != nil {
 				return MsgError, appendErrorPayload(nil, uint64(CodeInternal),
 					fmt.Sprintf("batched subquery %d: %s", i, err))
 			}
@@ -458,4 +325,30 @@ func (s *Server) handle(req frame) (byte, []byte) {
 		return MsgError, appendErrorPayload(nil, uint64(CodeBadRequest),
 			fmt.Sprintf("unknown message type %d", req.typ))
 	}
+}
+
+// applyOnce runs one mutating request under the sequence check of its
+// replay log: the batch last applied is answered from the record, an older
+// one is refused as stale, a newer one is applied and recorded. Sequence 0
+// opts out of the check.
+func (s *Server) applyOnce(log *replayLog, kind string, respType byte, seq uint64,
+	apply func() (rdf.ApplyStats, error)) (byte, []byte) {
+	s.updMu.Lock()
+	defer s.updMu.Unlock()
+	if seq != 0 {
+		if seq == log.lastSeq {
+			return respType, log.lastResult
+		}
+		if seq < log.lastSeq {
+			return MsgError, appendErrorPayload(nil, uint64(CodeBadRequest),
+				fmt.Sprintf("stale %s batch %d (already at %d)", kind, seq, log.lastSeq))
+		}
+	}
+	stats, err := apply()
+	if err != nil {
+		return MsgError, appendErrorPayload(nil, uint64(CodeInternal), err.Error())
+	}
+	payload := AppendUpdateResult(nil, cluster.SiteUpdateResult{Stats: stats})
+	log.lastSeq, log.lastResult = seq, payload
+	return respType, payload
 }

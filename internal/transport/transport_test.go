@@ -7,29 +7,32 @@ import (
 	"math/rand"
 	"net"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"mpc/internal/cluster"
 	"mpc/internal/datagen"
 	"mpc/internal/obs"
+	"mpc/internal/partition"
 	"mpc/internal/rdf"
 	"mpc/internal/sparql"
 	"mpc/internal/store"
 )
 
-// startServer runs a server on a loopback listener and returns it with its
-// address. Cleanup closes it.
-func startServer(t *testing.T, opts ServerOptions) (*Server, string) {
+// startServer serves st on a loopback listener and returns the server
+// with its address. Cleanup kills it and waits for its accept loop.
+func startServer(t *testing.T, st *store.Store) (*Server, string) {
 	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	srv, addr, wait, err := startSite("127.0.0.1:0", st, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(opts)
-	go srv.Serve(l)
-	t.Cleanup(srv.Close)
-	return srv, l.Addr().String()
+	t.Cleanup(func() {
+		srv.Close()
+		<-wait
+	})
+	return srv, addr
 }
 
 // testGraph builds a small deterministic graph.
@@ -47,44 +50,103 @@ func allTriples(g *rdf.Graph) []int32 {
 	return idx
 }
 
-func TestPingAndBootstrapQuery(t *testing.T) {
+// TestPingAndQuery covers the two things a coordinator does first: the
+// ping reply describes the site's store and dictionaries, and a subquery
+// comes back with measured wire stats.
+func TestPingAndQuery(t *testing.T) {
 	g := testGraph(t)
-	_, addr := startServer(t, ServerOptions{})
+	st := store.New(g, allTriples(g))
+	_, addr := startServer(t, st)
 	c, err := Dial(addr, ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 
-	// A query before bootstrap must fail with a typed remote error.
+	info, err := c.Ping()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (SiteInfo{Triples: g.NumTriples(), Vertices: g.NumVertices(), Properties: g.NumProperties()}); info != want {
+		t.Fatalf("ping reported %+v, want %+v", info, want)
+	}
+
 	q := &sparql.Query{Patterns: []sparql.TriplePattern{{
 		S: sparql.Term{IsVar: true, Value: "s"},
 		P: sparql.Term{IsVar: true, Value: "p"},
 		O: sparql.Term{IsVar: true, Value: "o"},
 	}}}
-	_, _, err = c.ExecuteSub(context.Background(), q, cluster.SubOpts{})
-	var re *RemoteError
-	if !errors.As(err, &re) || re.Code != CodeNoStore {
-		t.Fatalf("pre-bootstrap query: got %v, want RemoteError{CodeNoStore}", err)
-	}
-
-	if err := c.Bootstrap(context.Background(), g, allTriples(g)); err != nil {
-		t.Fatal(err)
-	}
-
-	tab, st, err := c.ExecuteSub(context.Background(), q, cluster.SubOpts{})
+	tab, ws, err := c.ExecuteSub(context.Background(), q, cluster.SubOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := store.New(g, allTriples(g)).Match(q)
+	want, err := st.Match(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tab.Len() != want.Len() {
 		t.Fatalf("?s ?p ?o returned %d rows, want %d", tab.Len(), want.Len())
 	}
-	if st.BytesShipped <= 0 || st.WireTime <= 0 {
-		t.Fatalf("missing wire stats: %+v", st)
+	if ws.BytesShipped <= 0 || ws.WireTime <= 0 {
+		t.Fatalf("missing wire stats: %+v", ws)
+	}
+}
+
+// TestServeRejectsBadOptions pins the one site shape: a server needs a
+// store, and ServerOptions.Graph may only repeat the store's own graph.
+func TestServeRejectsBadOptions(t *testing.T) {
+	g := testGraph(t)
+	st := store.New(g, allTriples(g))
+	for name, opts := range map[string]ServerOptions{
+		"no store":      {},
+		"foreign graph": {Store: st, Graph: testGraph(t)},
+	} {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := NewServer(opts).Serve(l); err == nil {
+			t.Errorf("%s: Serve accepted the options", name)
+		}
+	}
+}
+
+// TestVerifyCatchesWrongLayout checks the connect-time guard: sites
+// serving one layout refuse — by name — a coordinator holding another.
+func TestVerifyCatchesWrongLayout(t *testing.T) {
+	g := testGraph(t)
+	served := mustPartition(t, g, 2)
+	stores := make([]*store.Store, served.NumSites())
+	for i := range stores {
+		stores[i] = store.New(g, served.SiteTriples(i))
+	}
+	addrs, closeSites, err := ServeLoopback(stores, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeSites()
+	clients, err := Connect(addrs, ClientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer CloseAll(clients)
+
+	if err := Verify(clients, served); err != nil {
+		t.Fatalf("matching layout refused: %v", err)
+	}
+	other, err := (partition.SubjectHash{}).Partition(g, partition.Options{K: 2, Epsilon: 0.1, Seed: 99})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(other.SiteTriples(0)) == len(served.SiteTriples(0)) {
+		t.Skip("seeds 1 and 99 happen to size site 0 identically")
+	}
+	err = Verify(clients, other)
+	if err == nil || !strings.Contains(err.Error(), "site 0") {
+		t.Fatalf("mismatched layout: got %v, want an error naming site 0", err)
+	}
+	if err := Verify(clients[:1], served); err == nil {
+		t.Fatal("client/site count mismatch accepted")
 	}
 }
 
@@ -93,15 +155,12 @@ func TestPingAndBootstrapQuery(t *testing.T) {
 func TestRemoteMatchesLocal(t *testing.T) {
 	g := testGraph(t)
 	local := store.New(g, allTriples(g))
-	_, addr := startServer(t, ServerOptions{})
+	_, addr := startServer(t, local)
 	c, err := Dial(addr, ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Bootstrap(context.Background(), g, allTriples(g)); err != nil {
-		t.Fatal(err)
-	}
 
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 30; i++ {
@@ -126,41 +185,12 @@ func TestRemoteMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestServerStorePreload covers the mpc-site -snapshot path: a server
-// started with a ready store answers queries with no bootstrap at all.
-func TestServerStorePreload(t *testing.T) {
-	g := testGraph(t)
-	st := store.New(g, allTriples(g))
-	_, addr := startServer(t, ServerOptions{Graph: g, Store: st})
-	c, err := Dial(addr, ClientOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	q := &sparql.Query{Patterns: []sparql.TriplePattern{{
-		S: sparql.Term{IsVar: true, Value: "s"},
-		P: sparql.Term{IsVar: true, Value: "p"},
-		O: sparql.Term{IsVar: true, Value: "o"},
-	}}}
-	tab, _, err := c.ExecuteSub(context.Background(), q, cluster.SubOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := st.Match(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tab.Len() != want.Len() {
-		t.Fatalf("preloaded server returned %d rows, want %d", tab.Len(), want.Len())
-	}
-}
-
 // TestServerKilledMidQuery models a site process dying: in-flight and
 // subsequent requests must surface ErrUnavailable after bounded retries,
 // not hang and not panic.
 func TestServerKilledMidQuery(t *testing.T) {
 	g := testGraph(t)
-	srv, addr := startServer(t, ServerOptions{})
+	srv, addr := startServer(t, store.New(g, allTriples(g)))
 	reg := obs.NewRegistry()
 	c, err := Dial(addr, ClientOptions{
 		RequestTimeout: 5 * time.Second,
@@ -172,9 +202,6 @@ func TestServerKilledMidQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Bootstrap(context.Background(), g, allTriples(g)); err != nil {
-		t.Fatal(err)
-	}
 
 	srv.Close() // the site dies
 
@@ -192,6 +219,9 @@ func TestServerKilledMidQuery(t *testing.T) {
 		t.Fatalf("expected >=2 retries, got %d", snap.Counters["transport.retries"])
 	}
 }
+
+// pong is a well-formed ping reply for stub servers.
+var pong = appendSiteInfo(nil, SiteInfo{})
 
 // stubServer speaks just enough protocol to exercise client failure paths:
 // it handshakes, then hands each connection to handle.
@@ -236,7 +266,7 @@ func TestSlowServerHitsDeadline(t *testing.T) {
 	c := NewClient(addr, ClientOptions{RequestTimeout: 150 * time.Millisecond})
 	defer c.Close()
 	start := time.Now()
-	err := c.Ping()
+	_, err := c.Ping()
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("ping against wedged site: got %v, want ErrTimeout", err)
 	}
@@ -261,7 +291,7 @@ func TestRetryRecoversFromConnDrop(t *testing.T) {
 			return // close mid-exchange: client sees EOF
 		default:
 		}
-		writeFrame(conn, MsgOK, req.reqID, nil)
+		writeFrame(conn, MsgOK, req.reqID, pong)
 	})
 	c := NewClient(addr, ClientOptions{
 		RequestTimeout: 5 * time.Second,
@@ -269,7 +299,7 @@ func TestRetryRecoversFromConnDrop(t *testing.T) {
 		RetryBackoff:   time.Millisecond,
 	})
 	defer c.Close()
-	if err := c.Ping(); err != nil {
+	if _, err := c.Ping(); err != nil {
 		t.Fatalf("ping should have recovered via retries: %v", err)
 	}
 }
@@ -278,15 +308,12 @@ func TestRetryRecoversFromConnDrop(t *testing.T) {
 // Shutdown begins, new requests get a typed draining error.
 func TestDrainRefusesNewWork(t *testing.T) {
 	g := testGraph(t)
-	srv, addr := startServer(t, ServerOptions{})
+	srv, addr := startServer(t, store.New(g, allTriples(g)))
 	c, err := Dial(addr, ClientOptions{MaxRetries: 1, RetryBackoff: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Bootstrap(context.Background(), g, allTriples(g)); err != nil {
-		t.Fatal(err)
-	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
@@ -328,7 +355,7 @@ func TestHandshakeRejectsBadPeer(t *testing.T) {
 		RequestTimeout: time.Second, MaxRetries: 1, RetryBackoff: time.Millisecond,
 	})
 	defer c.Close()
-	if err := c.Ping(); err == nil {
+	if _, err := c.Ping(); err == nil {
 		t.Fatal("ping accepted a non-MPCT peer")
 	}
 }
@@ -423,43 +450,5 @@ func TestQueryCodecTruncated(t *testing.T) {
 	}
 	if _, err := DecodeQuery(append(enc[:len(enc):len(enc)], 0)); err == nil {
 		t.Fatal("trailing byte accepted")
-	}
-}
-
-func TestTripleIdxCodecRoundtrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 200; i++ {
-		idx := make([]int32, rng.Intn(500))
-		for j := range idx {
-			idx[j] = rng.Int31n(1 << 20)
-		}
-		if i%3 == 0 { // partitioner output is usually sorted; deltas go small
-			for j := 1; j < len(idx); j++ {
-				if idx[j] < idx[j-1] {
-					idx[j], idx[j-1] = idx[j-1], idx[j]
-				}
-			}
-		}
-		got, err := DecodeTripleIdx(AppendTripleIdx(nil, idx))
-		if err != nil {
-			t.Fatalf("case %d: %v", i, err)
-		}
-		if len(got) != len(idx) {
-			t.Fatalf("case %d: length %d vs %d", i, len(got), len(idx))
-		}
-		for j := range idx {
-			if got[j] != idx[j] {
-				t.Fatalf("case %d: index %d: %d vs %d", i, j, got[j], idx[j])
-			}
-		}
-	}
-}
-
-func TestTripleIdxCodecTruncated(t *testing.T) {
-	enc := AppendTripleIdx(nil, []int32{5, 1000, 2, 1 << 30})
-	for cut := 0; cut < len(enc); cut++ {
-		if _, err := DecodeTripleIdx(enc[:cut]); err == nil {
-			t.Fatalf("prefix of %d/%d bytes decoded without error", cut, len(enc))
-		}
 	}
 }

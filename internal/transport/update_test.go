@@ -10,6 +10,7 @@ import (
 	"mpc/internal/partition"
 	"mpc/internal/rdf"
 	"mpc/internal/sparql"
+	"mpc/internal/store"
 	"mpc/internal/workload"
 )
 
@@ -24,11 +25,11 @@ func TestUpdateCodecRoundtrip(t *testing.T) {
 				BaseProperties: 9,
 				NewProperties:  []string{"<http://x/p>"},
 			},
-			Ops: []cluster.UpdateOp{
-				{Insert: true, Local: true, T: rdf.Triple{S: 100, P: 9, O: 101}},
-				{Insert: true, Local: false, T: rdf.Triple{S: 101, P: 9, O: 100}},
-				{Insert: false, Local: true, T: rdf.Triple{S: 3, P: 0, O: 5}},
-				{Insert: false, Local: false, T: rdf.Triple{S: 0, P: 0, O: 0}},
+			Ops: []rdf.ResolvedUpdate{
+				{Insert: true, T: rdf.Triple{S: 100, P: 9, O: 101}},
+				{Insert: true, T: rdf.Triple{S: 101, P: 9, O: 100}},
+				{Insert: false, T: rdf.Triple{S: 3, P: 0, O: 5}},
+				{Insert: false, T: rdf.Triple{S: 0, P: 0, O: 0}},
 			},
 		},
 	}
@@ -61,7 +62,7 @@ func TestUpdateCodecTruncated(t *testing.T) {
 	full := AppendUpdateBatch(nil, cluster.UpdateBatch{
 		Seq:   3,
 		Delta: rdf.DictDelta{NewVertices: []string{"<v>"}},
-		Ops:   []cluster.UpdateOp{{Insert: true, Local: true, T: rdf.Triple{S: 1, P: 2, O: 3}}},
+		Ops:   []rdf.ResolvedUpdate{{Insert: true, T: rdf.Triple{S: 1, P: 2, O: 3}}},
 	})
 	for n := 0; n < len(full); n++ {
 		if _, err := DecodeUpdateBatch(full[:n]); err == nil {
@@ -92,34 +93,30 @@ func uniqueTriple(t *testing.T, g *rdf.Graph) rdf.Triple {
 }
 
 // applyLocally mimics the coordinator's half of a write: resolve ops
-// against g, mutate g, and return the wire batch every replica site would
-// receive (all ops Local — the single test server owns the whole graph).
+// against g, mutate g, and return the wire batch the single test server —
+// which stores the whole graph — would receive.
 func applyLocally(t *testing.T, g *rdf.Graph, seq uint64, ops []rdf.Op) (cluster.UpdateBatch, rdf.ApplyStats) {
 	t.Helper()
 	resolved, delta, notFound := g.ResolveUpdates(ops)
 	trace, stats := g.ApplyResolvedTrace(resolved)
 	stats.NotFound += notFound
-	batch := cluster.UpdateBatch{Seq: seq, Delta: delta, Ops: make([]cluster.UpdateOp, len(trace))}
+	batch := cluster.UpdateBatch{Seq: seq, Delta: delta, Ops: make([]rdf.ResolvedUpdate, len(trace))}
 	for i, op := range trace {
-		batch.Ops[i] = cluster.UpdateOp{Insert: op.Insert, Local: true, T: op.T}
+		batch.Ops[i] = rdf.ResolvedUpdate{Insert: op.Insert, T: op.T}
 	}
 	return batch, stats
 }
 
-// TestUpdateEndToEnd ships insert and delete batches to a bootstrapped
-// server and checks the remote answers track a local store applying the
+// TestUpdateEndToEnd ships insert and delete batches to a server and checks the remote answers track a local store applying the
 // same mutations.
 func TestUpdateEndToEnd(t *testing.T) {
 	g := testGraph(t)
-	_, addr := startServer(t, ServerOptions{})
+	_, addr := startServer(t, store.New(g, allTriples(g)))
 	c, err := Dial(addr, ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Bootstrap(context.Background(), g, allTriples(g)); err != nil {
-		t.Fatal(err)
-	}
 
 	scan := &sparql.Query{Patterns: []sparql.TriplePattern{{
 		S: sparql.Term{IsVar: true, Value: "s"},
@@ -182,7 +179,7 @@ func TestUpdateEndToEnd(t *testing.T) {
 	}
 
 	// Batch 2: delete one of the fresh inserts again — exercises deleting
-	// post-freeze slots on the replica.
+	// a triple that lives only in the store's post-load state.
 	batch2, _ := applyLocally(t, g, 2, []rdf.Op{
 		{Insert: false, S: "<urn:new:a>", P: "<urn:new:p>", O: "<urn:new:b>"},
 	})
@@ -199,15 +196,12 @@ func TestUpdateEndToEnd(t *testing.T) {
 // while genuinely stale sequence numbers are refused.
 func TestUpdateSeqIdempotent(t *testing.T) {
 	g := testGraph(t)
-	_, addr := startServer(t, ServerOptions{})
+	_, addr := startServer(t, store.New(g, allTriples(g)))
 	c, err := Dial(addr, ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Bootstrap(context.Background(), g, allTriples(g)); err != nil {
-		t.Fatal(err)
-	}
 
 	batch, _ := applyLocally(t, g, 1, []rdf.Op{
 		{Insert: true, S: "<urn:i:a>", P: "<urn:i:p>", O: "<urn:i:b>"},
@@ -249,31 +243,6 @@ func TestUpdateSeqIdempotent(t *testing.T) {
 	var re *RemoteError
 	if !errors.As(err, &re) || re.Code != CodeBadRequest {
 		t.Fatalf("stale batch: got %v, want RemoteError{CodeBadRequest}", err)
-	}
-}
-
-// TestBootstrapHonorsCancellation covers the regression where the
-// bootstrap path ignored its context entirely: a cancelled context must
-// abort BootstrapGraph with ctx's error instead of shipping the snapshot.
-func TestBootstrapHonorsCancellation(t *testing.T) {
-	g := testGraph(t)
-	_, addr := startServer(t, ServerOptions{})
-	c, err := Dial(addr, ClientOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := c.BootstrapGraph(ctx, g); !errors.Is(err, context.Canceled) {
-		t.Fatalf("BootstrapGraph with cancelled ctx: got %v, want context.Canceled", err)
-	}
-	if err := c.BootstrapTriples(ctx, allTriples(g)); !errors.Is(err, context.Canceled) {
-		t.Fatalf("BootstrapTriples with cancelled ctx: got %v, want context.Canceled", err)
-	}
-	if err := Bootstrap(ctx, []*Client{c}, mustPartition(t, g, 1)); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Bootstrap with cancelled ctx: got %v, want context.Canceled", err)
 	}
 }
 

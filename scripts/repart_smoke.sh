@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Online-repartitioning smoke test: launch real mpc-site processes and an
-# mpc-server frontend with the repartitioner enabled, drift the live graph
-# through POST /update, then force a repartition cycle via POST
-# /admin/repart while a query loop keeps running. Asserts zero failed
+# Online-repartitioning smoke test: launch real mpc-site processes over
+# exported snapshots and an mpc-server frontend with the repartitioner
+# enabled, drift the live graph through POST /update, then force a
+# repartition cycle via POST /admin/repart while a query loop keeps
+# running. Asserts zero failed
 # queries, the same canonical result digest before and after the cutover,
 # and a /debug/repart status that recorded the run. Exercises the full
 # online path (policy endpoint, snapshot, offline recompute, migration
@@ -45,19 +46,22 @@ post() { # post URL BODYFILE OUTFILE
 }
 
 echo "==> building binaries"
-go build -o "$workdir" ./cmd/mpc-gen ./cmd/mpc-site ./cmd/mpc-server
+go build -o "$workdir" ./cmd/mpc-gen ./cmd/mpc-partition ./cmd/mpc-site ./cmd/mpc-server
 
-echo "==> generating $TRIPLES-triple LUBM snapshot"
-"$workdir/mpc-gen" -dataset LUBM -triples "$TRIPLES" -o "$workdir/g.mpcg"
+echo "==> generating $TRIPLES-triple LUBM as N-Triples"
+"$workdir/mpc-gen" -dataset LUBM -triples "$TRIPLES" -o "$workdir/g.nt"
+
+echo "==> partitioning + exporting one block snapshot per site"
+"$workdir/mpc-partition" -in "$workdir/g.nt" -out "$workdir/parts" -k "$K" -strategy MPC -export-snapshots
 
 sites=""
 for i in $(seq 0 $((K - 1))); do
     port=$((BASE_PORT + i))
-    "$workdir/mpc-site" -listen "127.0.0.1:$port" &
+    "$workdir/mpc-site" -listen "127.0.0.1:$port" -snapshot "$workdir/parts/part.site$i.mpcg" &
     pids+=($!)
     sites="${sites:+$sites,}127.0.0.1:$port"
 done
-echo "==> launched $K sites: $sites"
+echo "==> launched $K snapshot-serving sites: $sites"
 
 for i in $(seq 0 $((K - 1))); do
     port=$((BASE_PORT + i))
@@ -71,7 +75,7 @@ for i in $(seq 0 $((K - 1))); do
 done
 
 echo "==> launching mpc-server with the repartitioner on :$HTTP_PORT"
-"$workdir/mpc-server" -in "$workdir/g.mpcg" -sites "$sites" \
+"$workdir/mpc-server" -in "$workdir/g.nt" -sites "$sites" \
     -listen "127.0.0.1:$HTTP_PORT" -workers 8 -queue 32 -cache-mb 32 \
     -repart 60s -repart-growth 1.25 &
 pids+=($!)

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Scale smoke test: generate a large LUBM dataset as N-Triples, partition
 # it with the streaming ingest path, export v3 block snapshots, serve them
-# from real mpc-site processes that memory-map the blocks (no bootstrap
-# upload), and assert that queries answered over loopback TCP carry the
-# same canonical result digest as the fully in-memory execution path.
+# from real mpc-site processes that memory-map the blocks, and assert that
+# queries answered over loopback TCP carry the same canonical result
+# digest as the fully in-memory execution path.
 # Every process runs under a GOMEMLIMIT cap, so a memory regression in
 # ingest, partitioning, or block serving fails the smoke instead of
 # silently ballooning.
@@ -58,9 +58,9 @@ done
 
 query='SELECT ?x ?y WHERE { ?x <http://lubm.example.org/univ#advisor> ?y . ?y <http://lubm.example.org/univ#worksFor> ?d . }'
 
-echo "==> querying the mapped sites over TCP (no bootstrap upload)"
+echo "==> querying the mapped sites over TCP"
 remote=$(GOMEMLIMIT=$MEMLIMIT "$workdir/mpc-query" -in "$workdir/g.nt" \
-    -assign "$workdir/parts/assignment.txt" -sites "$sites" -no-bootstrap \
+    -assign "$workdir/parts/assignment.txt" -sites "$sites" \
     -digest -limit 1 -query "$query" 2>&1)
 echo "$remote"
 

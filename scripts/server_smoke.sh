@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Serving-stack smoke test: launch real mpc-site processes and an
-# mpc-server frontend on top of them, fire concurrent HTTP queries, and
-# assert every response carries the same canonical result digest, that
-# repeats hit the result cache, and that the metrics endpoint reports the
-# traffic. Exercises the full concurrent path (scheduler, pipelined
+# Serving-stack smoke test: launch real mpc-site processes over exported
+# snapshots and an mpc-server frontend on top of them, fire concurrent
+# HTTP queries, and assert every response carries the same canonical
+# result digest, that repeats hit the result cache, and that the metrics
+# endpoint reports the traffic. Exercises the full concurrent path (scheduler, pipelined
 # transport, qcache) that the in-process unit tests can't.
 set -euo pipefail
 
@@ -33,19 +33,22 @@ fetch() { # fetch URL OUTFILE
 }
 
 echo "==> building binaries"
-go build -o "$workdir" ./cmd/mpc-gen ./cmd/mpc-site ./cmd/mpc-server
+go build -o "$workdir" ./cmd/mpc-gen ./cmd/mpc-partition ./cmd/mpc-site ./cmd/mpc-server
 
-echo "==> generating $TRIPLES-triple LUBM snapshot"
-"$workdir/mpc-gen" -dataset LUBM -triples "$TRIPLES" -o "$workdir/g.mpcg"
+echo "==> generating $TRIPLES-triple LUBM as N-Triples"
+"$workdir/mpc-gen" -dataset LUBM -triples "$TRIPLES" -o "$workdir/g.nt"
+
+echo "==> partitioning + exporting one block snapshot per site"
+"$workdir/mpc-partition" -in "$workdir/g.nt" -out "$workdir/parts" -k "$K" -strategy MPC -export-snapshots
 
 sites=""
 for i in $(seq 0 $((K - 1))); do
     port=$((BASE_PORT + i))
-    "$workdir/mpc-site" -listen "127.0.0.1:$port" &
+    "$workdir/mpc-site" -listen "127.0.0.1:$port" -snapshot "$workdir/parts/part.site$i.mpcg" &
     pids+=($!)
     sites="${sites:+$sites,}127.0.0.1:$port"
 done
-echo "==> launched $K sites: $sites"
+echo "==> launched $K snapshot-serving sites: $sites"
 
 for i in $(seq 0 $((K - 1))); do
     port=$((BASE_PORT + i))
@@ -59,7 +62,7 @@ for i in $(seq 0 $((K - 1))); do
 done
 
 echo "==> launching mpc-server on :$HTTP_PORT"
-"$workdir/mpc-server" -in "$workdir/g.mpcg" -sites "$sites" \
+"$workdir/mpc-server" -in "$workdir/g.nt" -sites "$sites" \
     -listen "127.0.0.1:$HTTP_PORT" -workers 8 -queue 32 -cache-mb 32 &
 pids+=($!)
 for _ in $(seq 1 100); do
