@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race check cover bench bench-full bench-json bench-smoke bench-online bench-throughput bench-scale bench-repart benchmark experiments transport-race transport-smoke server-smoke scale-smoke repart-smoke oracle oracle-race update-race repart-race sparql11-race clean
+.PHONY: all build test test-race check flake cover bench bench-full bench-json bench-smoke bench-online bench-throughput bench-scale bench-repart benchmark experiments transport-race transport-smoke server-smoke scale-smoke repart-smoke oracle oracle-race update-race repart-race sparql11-race clean
 
 all: build test
 
@@ -22,6 +22,12 @@ check:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
+
+# Flake guard: the packages with timing-sensitive tests (HTTP overload,
+# the scheduler's admission queue) run ten times over. Add a package here
+# when it gains a test whose outcome depends on scheduling.
+flake:
+	$(GO) test -count=10 ./cmd/mpc-server ./internal/serve
 
 cover:
 	$(GO) test -cover ./...

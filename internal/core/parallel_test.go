@@ -16,10 +16,11 @@ import (
 var workerMatrix = []int{1, 2, 8}
 
 // TestSelectorsDeterministicAcrossWorkers checks that both worker-aware
-// selectors return the identical L_in at every worker count, on both
-// generated dataset families.
+// selectors return the identical L_in at every worker count. LUBM and
+// WatDiv have few properties; the DBpedia-like graph's thousands run the
+// greedy selector through thousands of selection rounds.
 func TestSelectorsDeterministicAcrossWorkers(t *testing.T) {
-	for _, gen := range []datagen.Generator{datagen.LUBM{}, datagen.WatDiv{}} {
+	for _, gen := range []datagen.Generator{datagen.LUBM{}, datagen.WatDiv{}, datagen.DBpedia{}} {
 		g := gen.Generate(20000, 1)
 		cap := partition.Options{K: 8, Epsilon: 0.1}.Cap(g.NumVertices())
 		for _, mk := range []func(w int) Selector{

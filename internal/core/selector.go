@@ -68,18 +68,17 @@ type WorkersAware interface {
 // broken toward the property with more edges (internalizing more edges
 // reduces |E^c|), then by ID for determinism.
 //
-// With Workers != 1 the two hot paths run on a worker pool: the initial
-// per-property cost pass stores each cost positionally, and stale heap
-// candidates are re-evaluated in batches popped from the top of the heap,
-// each worker evaluating against its own rollback clone of the committed
-// base forest. Because stale costs are lower bounds, the selected property
-// is always the candidate minimizing the true (cost, -edges, id) key — the
-// same property the lazy serial path selects — so L_in is identical for
-// every worker count.
+// With Workers != 1 the initial per-property cost pass — one evaluation per
+// property, the bulk of the work — runs on a worker pool, each worker on a
+// fresh forest of its own, storing each cost positionally. Every later
+// refresh is the serial lazy one on the committed base forest: a parallel
+// refresh would need each worker's forest to mirror base, an O(|V|) copy
+// per selection round that costs more than the few evaluations a round
+// performs. L_in is identical for every worker count.
 type GreedySelector struct {
-	// Workers bounds evaluation concurrency: 0 means runtime.NumCPU(),
-	// 1 forces the serial lazy path. The selected set is identical for
-	// every value.
+	// Workers bounds the initial pass's concurrency: 0 means
+	// runtime.NumCPU(), 1 forces the serial path. The selected set is
+	// identical for every value.
 	Workers int
 }
 
@@ -145,33 +144,18 @@ func (s GreedySelector) SelectInternal(g *rdf.Graph, cap int) []rdf.PropertyID {
 		return cost
 	}
 
-	// Per-worker rollback clones of the committed base forest, refreshed
-	// lazily once per selection round (epoch). With one worker the clones
-	// are skipped entirely and evaluation runs directly on base — the
-	// serial path, with zero copies. With several workers every worker
-	// (including 0) evaluates on its own clone, so base is only read
-	// during a batch, never mutated concurrently.
-	forests := make([]*dsf.RollbackForest, workers)
-	forestEpoch := make([]int, workers)
-	forestFor := func(w int) *dsf.RollbackForest {
-		if workers == 1 {
-			return base
-		}
-		if forests[w] == nil {
-			forests[w] = base.Clone()
-			forestEpoch[w] = epoch
-		} else if forestEpoch[w] != epoch {
-			forests[w].CloneFrom(base)
-			forestEpoch[w] = epoch
-		}
-		return forests[w]
-	}
-
 	// Initial pass: cost of each property alone, computed positionally and
-	// heapified in property order; prune those over cap.
+	// heapified in property order; prune those over cap. L_in is still
+	// empty, so worker 0 evaluates on base and every other worker on a
+	// fresh forest of singletons.
+	forests := make([]*dsf.RollbackForest, workers)
+	forests[0] = base
 	costs := make([]int32, g.NumProperties())
 	par.ForEachWorker(workers, g.NumProperties(), func(w, p int) {
-		costs[p] = evaluate(forestFor(w), rdf.PropertyID(p))
+		if forests[w] == nil {
+			forests[w] = dsf.NewRollback(g.NumVertices())
+		}
+		costs[p] = evaluate(forests[w], rdf.PropertyID(p))
 	})
 	h := make(candHeap, 0, g.NumProperties())
 	for p := 0; p < g.NumProperties(); p++ {
@@ -181,8 +165,8 @@ func (s GreedySelector) SelectInternal(g *rdf.Graph, cap int) []rdf.PropertyID {
 	}
 	heap.Init(&h)
 
+	// Lazy refresh: re-evaluate only the stale top and reinsert it.
 	var lin []rdf.PropertyID
-	var batch []candidate
 	for h.Len() > 0 {
 		top := h[0]
 		if top.epoch == epoch {
@@ -197,36 +181,14 @@ func (s GreedySelector) SelectInternal(g *rdf.Graph, cap int) []rdf.PropertyID {
 			epoch++
 			continue
 		}
-		if workers == 1 {
-			// Serial lazy path: re-evaluate only the top and reinsert.
-			cost := evaluate(base, top.prop)
-			if int(cost) > cap {
-				heap.Pop(&h) // can never fit again (monotonicity)
-				continue
-			}
-			h[0].cost = cost
-			h[0].epoch = epoch
-			heap.Fix(&h, 0)
+		cost := evaluate(base, top.prop)
+		if int(cost) > cap {
+			heap.Pop(&h) // can never fit again (monotonicity)
 			continue
 		}
-		// Batched refresh: pop the smallest stale candidates and
-		// re-evaluate them concurrently against the current L_in. Stale
-		// costs are lower bounds, so once a fresh candidate reaches the
-		// top it is the true minimum — refreshing more candidates than the
-		// lazy path never changes which property is selected.
-		batch = batch[:0]
-		for h.Len() > 0 && h[0].epoch != epoch && len(batch) < 2*workers {
-			batch = append(batch, heap.Pop(&h).(candidate))
-		}
-		par.ForEachWorker(workers, len(batch), func(w, i int) {
-			batch[i].cost = evaluate(forestFor(w), batch[i].prop)
-			batch[i].epoch = epoch
-		})
-		for _, c := range batch {
-			if int(c.cost) <= cap {
-				heap.Push(&h, c)
-			}
-		}
+		h[0].cost = cost
+		h[0].epoch = epoch
+		heap.Fix(&h, 0)
 	}
 	sort.Slice(lin, func(i, j int) bool { return lin[i] < lin[j] })
 	return lin

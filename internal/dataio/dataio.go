@@ -111,7 +111,8 @@ func writeGraph(f *os.File, path string, g *rdf.Graph) error {
 // exporting k sites never materializes more than one site's sorted
 // permutations, where the old path built a full subgraph copy per site
 // and held its snapshot buffer alongside the source graph. Returns the
-// paths written.
+// paths written. On failure the files this call already wrote are
+// removed, so a failed export never leaves a partial layout to serve.
 func SaveSiteSnapshots(prefix string, layout interface {
 	NumSites() int
 	SiteTriples(i int) []int32
@@ -122,6 +123,9 @@ func SaveSiteSnapshots(prefix string, layout interface {
 	for i := range paths {
 		path := fmt.Sprintf("%s.site%d%s", prefix, i, SnapshotExt)
 		if err := store.SaveBlockSnapshot(path, g, layout.SiteTriples(i)); err != nil {
+			for _, written := range paths[:i] {
+				os.Remove(written) // best effort: the export error is what the caller acts on
+			}
 			return nil, fmt.Errorf("dataio: site %d snapshot: %w", i, err)
 		}
 		paths[i] = path

@@ -1,6 +1,7 @@
 package dataio
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -133,6 +134,30 @@ func TestSaveSiteSnapshots(t *testing.T) {
 		}
 		if err := st.Close(); err != nil {
 			t.Fatalf("site %d: close: %v", i, err)
+		}
+	}
+}
+
+// TestSaveSiteSnapshotsFailureLeavesNoFiles: when one site's export fails
+// (here a directory squats on site 2's path), the sites already written
+// are removed, so no partial export remains for mpc-site to open.
+func TestSaveSiteSnapshotsFailureLeavesNoFiles(t *testing.T) {
+	g := sample()
+	layout := fakeLayout{g: g, sites: [][]int32{{0}, {1}, {0}, {1}}}
+	prefix := filepath.Join(t.TempDir(), "part")
+	if err := os.Mkdir(prefix+".site2"+SnapshotExt, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := SaveSiteSnapshots(prefix, layout); err == nil {
+		t.Fatal("export over a blocked site path succeeded")
+	}
+	matches, err := filepath.Glob(prefix + ".site*" + SnapshotExt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range matches {
+		if fi, err := os.Stat(m); err != nil || fi.Mode().IsRegular() {
+			t.Errorf("%s left behind after a failed export", filepath.Base(m))
 		}
 	}
 }

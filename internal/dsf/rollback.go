@@ -90,26 +90,6 @@ func (f *RollbackForest) Rollback(checkpoint int) {
 // permanent and freeing the undo stack.
 func (f *RollbackForest) Commit() { f.undo = f.undo[:0] }
 
-// Clone returns a deep copy of the forest, including any pending undo
-// records.
-func (f *RollbackForest) Clone() *RollbackForest {
-	c := &RollbackForest{}
-	c.CloneFrom(f)
-	return c
-}
-
-// CloneFrom overwrites f with a deep copy of src, reusing f's buffers when
-// their capacity allows. The parallel greedy selector uses it to refresh
-// each worker's private forest from the committed base once per selection
-// round without reallocating.
-func (f *RollbackForest) CloneFrom(src *RollbackForest) {
-	f.parent = append(f.parent[:0], src.parent...)
-	f.size = append(f.size[:0], src.size...)
-	f.undo = append(f.undo[:0], src.undo...)
-	f.maxSize = src.maxSize
-	f.numSets = src.numSets
-}
-
 // SameSet reports whether x and y belong to the same set.
 func (f *RollbackForest) SameSet(x, y int32) bool { return f.Find(x) == f.Find(y) }
 

@@ -325,40 +325,94 @@ type blockIndex struct {
 	dups int
 }
 
-// newBlockIndex compresses triples into blocks. The flat permutations are
-// materialized transiently for sorting, then dropped.
+// sortPerm sorts triples in place into perm's key order: an LSD radix sort
+// over the key's twelve bytes, least significant first, scattering through
+// buf (len(buf) == len(triples)). One counting pass builds every byte's
+// histogram; a byte on which all triples agree costs no pass, so small IDs
+// sort in a few passes.
+func sortPerm(triples, buf []rdf.Triple, perm permID) {
+	if len(triples) < 2 {
+		return
+	}
+	// Digit d is byte d%4 of key component 2-d/4.
+	var counts [12][256]int
+	for _, t := range triples {
+		k := keyOf(perm, t)
+		for d := range counts {
+			counts[d][byte(k[2-d/4]>>(8*(d%4)))]++
+		}
+	}
+	first := keyOf(perm, triples[0])
+	src, dst := triples, buf
+	for d := range counts {
+		comp, shift := 2-d/4, 8*(d%4)
+		c := &counts[d]
+		if c[byte(first[comp]>>shift)] == len(triples) {
+			continue
+		}
+		sum := 0
+		for i, n := range c {
+			c[i], sum = sum, sum+n
+		}
+		for _, t := range src {
+			b := byte(keyOf(perm, t)[comp] >> shift)
+			dst[c[b]] = t
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &triples[0] {
+		copy(triples, src)
+	}
+}
+
+// encodePerm sorts triples in place into perm's key order (buf is sortPerm's
+// scratch) and encodes each consecutive run of blockLen of them as one
+// block, passing emit the run's length, its delta-varint payload (reused
+// once emit returns) and its min/max keys. It is the one block encoder
+// behind NewBlock, Compact and WriteBlockSnapshot: the triples are sorted
+// by value, so each run is already contiguous.
+func encodePerm(triples, buf []rdf.Triple, perm permID, blockLen int, emit func(n int, payload []byte, min, max [3]uint32) error) error {
+	sortPerm(triples, buf, perm)
+	var payload []byte
+	for lo := 0; lo < len(triples); lo += blockLen {
+		hi := min(lo+blockLen, len(triples))
+		var kmin, kmax [3]uint32
+		payload, kmin, kmax = appendBlock(payload[:0], perm, triples[lo:hi])
+		if err := emit(hi-lo, payload, kmin, kmax); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// newBlockIndex compresses triples, which it reorders, into blocks.
 func newBlockIndex(triples []rdf.Triple, blockLen int) *blockIndex {
 	if blockLen <= 0 || blockLen > maxBlockTriples {
 		blockLen = defaultBlockLen
 	}
-	flat := newFlatIndex(triples)
 	bx := &blockIndex{
 		baseN: len(triples),
 		cache: newBlockCache(defaultCacheBlocks),
-		dups:  flat.dups,
 	}
 	bx.ov = newOverlay()
-	orders := [numPerms][]int32{permSPO: flat.spo, permPOS: flat.pos, permOPS: flat.ops}
-	chunk := make([]rdf.Triple, 0, blockLen)
+	buf := make([]rdf.Triple, len(triples))
 	for perm := permID(0); perm < numPerms; perm++ {
 		bp := &bx.perms[perm]
-		order := orders[perm]
-		for lo := 0; lo < len(order); lo += blockLen {
-			hi := lo + blockLen
-			if hi > len(order) {
-				hi = len(order)
-			}
-			chunk = chunk[:0]
-			for _, pos := range order[lo:hi] {
-				chunk = append(chunk, triples[pos])
-			}
-			off := int64(len(bp.blob))
-			var min, max [3]uint32
-			bp.blob, min, max = appendBlock(bp.blob, perm, chunk)
+		// Appending to the heap blob cannot fail, so neither can encodePerm.
+		_ = encodePerm(triples, buf, perm, blockLen, func(n int, payload []byte, min, max [3]uint32) error {
 			bp.metas = append(bp.metas, blockMeta{
 				min: min, max: max,
-				off: off, blen: int32(int64(len(bp.blob)) - off), n: int32(hi - lo),
+				off: int64(len(bp.blob)), blen: int32(len(payload)), n: int32(n),
 			})
+			bp.blob = append(bp.blob, payload...)
+			return nil
+		})
+	}
+	// Equal triples are adjacent in every permutation order.
+	for i := 1; i < len(triples); i++ {
+		if triples[i] == triples[i-1] {
+			bx.dups++
 		}
 	}
 	return bx

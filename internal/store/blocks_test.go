@@ -6,7 +6,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
+	"strconv"
 	"testing"
 
 	"mpc/internal/rdf"
@@ -380,5 +382,94 @@ func TestBlockCacheEviction(t *testing.T) {
 	}
 	if got := scanIndex(blk, -1, -1, -1); len(got) != len(triples) {
 		t.Fatalf("full scan yields %d of %d triples", len(got), len(triples))
+	}
+}
+
+// TestBlockEncodersAgree: NewBlock, the same triples written as a snapshot
+// and reopened with OpenSnapshot, and a Compact that lands on the same
+// multiset hold identical block directories and payloads — one encoder
+// builds all three.
+func TestBlockEncodersAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const nV, nP = 400, 6
+	g := rdf.NewGraph()
+	for i := 0; i < nV; i++ {
+		g.Vertices.Intern("v" + strconv.Itoa(i))
+	}
+	for i := 0; i < nP; i++ {
+		g.Properties.Intern("p" + strconv.Itoa(i))
+	}
+	for _, tr := range randomTriples(rng, 5000, nV, nP) { // ≈5 blocks per permutation, with duplicates
+		g.AddTripleIDs(tr.S, tr.P, tr.O)
+	}
+	g.Freeze()
+	idx := allSlots(g)
+
+	built := NewBlock(g, idx).idx.(*blockIndex)
+	path := filepath.Join(t.TempDir(), "site.mpcg")
+	if err := SaveBlockSnapshot(path, g, idx); err != nil {
+		t.Fatal(err)
+	}
+	opened, err := OpenSnapshot(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer opened.Close()
+	// Compact a store that reaches the same multiset through its overlay:
+	// the last 700 triples inserted, plus one extra triple inserted and
+	// deleted again.
+	compacted := NewBlock(g, idx[:len(idx)-700])
+	for _, ti := range idx[len(idx)-700:] {
+		compacted.Insert(g.Triple(ti))
+	}
+	compacted.Insert(rdf.Triple{S: nV - 1, P: nP - 1, O: nV - 1})
+	compacted.Delete(rdf.Triple{S: nV - 1, P: nP - 1, O: nV - 1})
+	if !compacted.Compact() {
+		t.Fatal("Compact found nothing to reseal")
+	}
+
+	for name, other := range map[string]*blockIndex{
+		"OpenSnapshot": opened.idx.(*blockIndex),
+		"Compact":      compacted.idx.(*blockIndex),
+	} {
+		if other.baseN != built.baseN || other.dups != built.dups {
+			t.Fatalf("%s: %d triples / %d dup pairs, NewBlock %d / %d", name, other.baseN, other.dups, built.baseN, built.dups)
+		}
+		for perm := permID(0); perm < numPerms; perm++ {
+			want, got := &built.perms[perm], &other.perms[perm]
+			if len(got.metas) != len(want.metas) {
+				t.Fatalf("%s %s: %d blocks, NewBlock %d", name, permNames[perm], len(got.metas), len(want.metas))
+			}
+			for bi := range want.metas {
+				w, o := want.metas[bi], got.metas[bi]
+				if w.min != o.min || w.max != o.max || w.n != o.n || !bytes.Equal(want.payload(bi), got.payload(bi)) {
+					t.Fatalf("%s %s block %d differs from NewBlock's", name, permNames[perm], bi)
+				}
+			}
+		}
+	}
+}
+
+// TestSortPermMatchesComparator: the radix sort orders every permutation
+// exactly as its comparator does, across ID magnitudes from a few bits to
+// the full 32 (so every digit pass, skipped or not, is exercised).
+func TestSortPermMatchesComparator(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	cmps := [numPerms]func(a, b rdf.Triple) int{permSPO: cmpSPO, permPOS: cmpPOS, permOPS: cmpOPS}
+	for _, bits := range []int{1, 4, 9, 17, 25, 32} {
+		id := func() uint32 { return uint32(rng.Uint64() >> (64 - bits)) }
+		triples := make([]rdf.Triple, 3000)
+		for i := range triples {
+			triples[i] = rdf.Triple{S: rdf.VertexID(id()), P: rdf.PropertyID(id()), O: rdf.VertexID(id())}
+		}
+		buf := make([]rdf.Triple, len(triples))
+		for perm := permID(0); perm < numPerms; perm++ {
+			want := slices.Clone(triples)
+			slices.SortFunc(want, cmps[perm])
+			sortPerm(triples, buf, perm)
+			if !slices.Equal(triples, want) {
+				t.Fatalf("%d-bit IDs, %s: radix order differs from the comparator's", bits, permNames[perm])
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"slices"
 	"sort"
 
 	"mpc/internal/rdf"
@@ -63,9 +64,9 @@ func newFlatIndex(triples []rdf.Triple) *flatIndex {
 		x.spo[i], x.pos[i], x.ops[i] = int32(i), int32(i), int32(i)
 	}
 	t := x.triples
-	sort.Slice(x.spo, func(a, b int) bool { return lessSPO(t[x.spo[a]], t[x.spo[b]]) })
-	sort.Slice(x.pos, func(a, b int) bool { return lessPOS(t[x.pos[a]], t[x.pos[b]]) })
-	sort.Slice(x.ops, func(a, b int) bool { return lessOPS(t[x.ops[a]], t[x.ops[b]]) })
+	slices.SortFunc(x.spo, func(a, b int32) int { return cmpSPO(t[a], t[b]) })
+	slices.SortFunc(x.pos, func(a, b int32) int { return cmpPOS(t[a], t[b]) })
+	slices.SortFunc(x.ops, func(a, b int32) int { return cmpOPS(t[a], t[b]) })
 	for i := 1; i < n; i++ {
 		if t[x.spo[i]] == t[x.spo[i-1]] {
 			x.dups++
@@ -83,7 +84,7 @@ func (x *flatIndex) countProperty(p rdf.PropertyID) int {
 
 // countTriple returns how many instances of t are stored.
 func (x *flatIndex) countTriple(t rdf.Triple) int {
-	lo, hi := x.eqRange(x.spo, lessSPO, t)
+	lo, hi := x.eqRange(x.spo, cmpSPO, t)
 	return hi - lo
 }
 
@@ -172,28 +173,28 @@ func (x *flatIndex) candidates(s, p, o int64, yield func(rdf.Triple) bool) int {
 
 // eqRange returns the half-open range [lo, hi) of entries in idx whose
 // triple equals t under the given order.
-func (x *flatIndex) eqRange(idx []int32, less func(a, b rdf.Triple) bool, t rdf.Triple) (int, int) {
-	lo := sort.Search(len(idx), func(i int) bool { return !less(x.triples[idx[i]], t) })
-	hi := sort.Search(len(idx), func(i int) bool { return less(t, x.triples[idx[i]]) })
+func (x *flatIndex) eqRange(idx []int32, cmp func(a, b rdf.Triple) int, t rdf.Triple) (int, int) {
+	lo := sort.Search(len(idx), func(i int) bool { return cmp(x.triples[idx[i]], t) >= 0 })
+	hi := sort.Search(len(idx), func(i int) bool { return cmp(x.triples[idx[i]], t) > 0 })
 	return lo, hi
 }
 
 func (x *flatIndex) insert(t rdf.Triple) {
 	pos := int32(len(x.triples))
 	x.triples = append(x.triples, t)
-	lo, hi := x.eqRange(x.spo, lessSPO, t)
+	lo, hi := x.eqRange(x.spo, cmpSPO, t)
 	if hi > lo {
 		x.dups++
 	}
 	x.spo = spliceIn(x.spo, lo, pos)
-	lo, _ = x.eqRange(x.pos, lessPOS, t)
+	lo, _ = x.eqRange(x.pos, cmpPOS, t)
 	x.pos = spliceIn(x.pos, lo, pos)
-	lo, _ = x.eqRange(x.ops, lessOPS, t)
+	lo, _ = x.eqRange(x.ops, cmpOPS, t)
 	x.ops = spliceIn(x.ops, lo, pos)
 }
 
 func (x *flatIndex) remove(t rdf.Triple) bool {
-	lo, hi := x.eqRange(x.spo, lessSPO, t)
+	lo, hi := x.eqRange(x.spo, cmpSPO, t)
 	if hi == lo {
 		return false
 	}
@@ -202,9 +203,9 @@ func (x *flatIndex) remove(t rdf.Triple) bool {
 	}
 	pos := x.spo[lo]
 	x.spo = spliceOutEntry(x.spo, lo, hi, pos)
-	lo, hi = x.eqRange(x.pos, lessPOS, t)
+	lo, hi = x.eqRange(x.pos, cmpPOS, t)
 	x.pos = spliceOutEntry(x.pos, lo, hi, pos)
-	lo, hi = x.eqRange(x.ops, lessOPS, t)
+	lo, hi = x.eqRange(x.ops, cmpOPS, t)
 	x.ops = spliceOutEntry(x.ops, lo, hi, pos)
 
 	// Move the last triple into the hole and repoint its index entries.
@@ -212,11 +213,11 @@ func (x *flatIndex) remove(t rdf.Triple) bool {
 	if pos != last {
 		moved := x.triples[last]
 		x.triples[pos] = moved
-		lo, hi = x.eqRange(x.spo, lessSPO, moved)
+		lo, hi = x.eqRange(x.spo, cmpSPO, moved)
 		repointEntry(x.spo, lo, hi, last, pos)
-		lo, hi = x.eqRange(x.pos, lessPOS, moved)
+		lo, hi = x.eqRange(x.pos, cmpPOS, moved)
 		repointEntry(x.pos, lo, hi, last, pos)
-		lo, hi = x.eqRange(x.ops, lessOPS, moved)
+		lo, hi = x.eqRange(x.ops, cmpOPS, moved)
 		repointEntry(x.ops, lo, hi, last, pos)
 	}
 	x.triples = x.triples[:last]

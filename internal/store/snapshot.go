@@ -94,46 +94,24 @@ func WriteBlockSnapshot(w io.Writer, g *rdf.Graph, tripleIdx []int32) error {
 		return err
 	}
 
-	flat := newFlatIndex(siteTriples(g, tripleIdx))
-	orders := [numPerms][]int32{permSPO: flat.spo, permPOS: flat.pos, permOPS: flat.ops}
-	numBlocks := (len(tripleIdx) + defaultBlockLen - 1) / defaultBlockLen
-	chunk := make([]rdf.Triple, 0, defaultBlockLen)
-	var payload []byte
+	triples := siteTriples(g, tripleIdx)
+	buf := make([]rdf.Triple, len(triples))
+	numBlocks := (len(triples) + defaultBlockLen - 1) / defaultBlockLen
 	for perm := permID(0); perm < numPerms; perm++ {
 		if err := writeUvarint(uint64(numBlocks)); err != nil {
 			return err
 		}
-		order := orders[perm]
-		for lo := 0; lo < len(order); lo += defaultBlockLen {
-			hi := lo + defaultBlockLen
-			if hi > len(order) {
-				hi = len(order)
-			}
-			chunk = chunk[:0]
-			for _, pos := range order[lo:hi] {
-				chunk = append(chunk, flat.triples[pos])
-			}
-			var min, max [3]uint32
-			payload, min, max = appendBlock(payload[:0], perm, chunk)
-			if err := writeUvarint(uint64(hi - lo)); err != nil {
-				return err
-			}
-			if err := writeUvarint(uint64(len(payload))); err != nil {
-				return err
-			}
-			for _, v := range min {
+		err := encodePerm(triples, buf, perm, defaultBlockLen, func(n int, payload []byte, min, max [3]uint32) error {
+			for _, v := range [...]uint32{uint32(n), uint32(len(payload)), min[0], min[1], min[2], max[0], max[1], max[2]} {
 				if err := writeUvarint(uint64(v)); err != nil {
 					return err
 				}
 			}
-			for _, v := range max {
-				if err := writeUvarint(uint64(v)); err != nil {
-					return err
-				}
-			}
-			if _, err := bw.Write(payload); err != nil {
-				return err
-			}
+			_, err := bw.Write(payload)
+			return err
+		})
+		if err != nil {
+			return err
 		}
 	}
 	return bw.Flush()

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"cmp"
+
 	"mpc/internal/rdf"
 )
 
@@ -14,34 +16,35 @@ import (
 // mutations into its overlay (see blocks.go); either way the matcher sees
 // the post-update multiset.
 
-func lessSPO(a, b rdf.Triple) bool {
+// cmpSPO, cmpPOS and cmpOPS order triples as their keyOf keys compare.
+func cmpSPO(a, b rdf.Triple) int {
 	if a.S != b.S {
-		return a.S < b.S
+		return cmp.Compare(a.S, b.S)
 	}
 	if a.P != b.P {
-		return a.P < b.P
+		return cmp.Compare(a.P, b.P)
 	}
-	return a.O < b.O
+	return cmp.Compare(a.O, b.O)
 }
 
-func lessPOS(a, b rdf.Triple) bool {
+func cmpPOS(a, b rdf.Triple) int {
 	if a.P != b.P {
-		return a.P < b.P
+		return cmp.Compare(a.P, b.P)
 	}
 	if a.O != b.O {
-		return a.O < b.O
+		return cmp.Compare(a.O, b.O)
 	}
-	return a.S < b.S
+	return cmp.Compare(a.S, b.S)
 }
 
-func lessOPS(a, b rdf.Triple) bool {
+func cmpOPS(a, b rdf.Triple) int {
 	if a.O != b.O {
-		return a.O < b.O
+		return cmp.Compare(a.O, b.O)
 	}
 	if a.P != b.P {
-		return a.P < b.P
+		return cmp.Compare(a.P, b.P)
 	}
-	return a.S < b.S
+	return cmp.Compare(a.S, b.S)
 }
 
 // spliceIn inserts pos into idx at i.

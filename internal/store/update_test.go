@@ -23,21 +23,21 @@ func checkStoreInvariants(t *testing.T, st *Store) {
 	if len(x.spo) != n || len(x.pos) != n || len(x.ops) != n {
 		t.Fatalf("index lengths %d/%d/%d, triples %d", len(x.spo), len(x.pos), len(x.ops), n)
 	}
-	check := func(name string, idx []int32, less func(a, b rdf.Triple) bool) {
+	check := func(name string, idx []int32, cmp func(a, b rdf.Triple) int) {
 		seen := make([]bool, n)
 		for i, pos := range idx {
 			if seen[pos] {
 				t.Fatalf("%s: position %d appears twice", name, pos)
 			}
 			seen[pos] = true
-			if i > 0 && less(x.triples[pos], x.triples[idx[i-1]]) {
+			if i > 0 && cmp(x.triples[pos], x.triples[idx[i-1]]) < 0 {
 				t.Fatalf("%s: out of order at %d", name, i)
 			}
 		}
 	}
-	check("spo", x.spo, lessSPO)
-	check("pos", x.pos, lessPOS)
-	check("ops", x.ops, lessOPS)
+	check("spo", x.spo, cmpSPO)
+	check("pos", x.pos, cmpPOS)
+	check("ops", x.ops, cmpOPS)
 	dups := 0
 	for i := 1; i < n; i++ {
 		if x.triples[x.spo[i]] == x.triples[x.spo[i-1]] {
@@ -182,17 +182,17 @@ func freshStore(g *rdf.Graph, triples []rdf.Triple) *Store {
 	for i := 0; i < n; i++ {
 		x.spo[i], x.pos[i], x.ops[i] = int32(i), int32(i), int32(i)
 	}
-	sortIdx := func(idx []int32, less func(a, b rdf.Triple) bool) {
+	sortIdx := func(idx []int32, cmp func(a, b rdf.Triple) int) {
 		tr := x.triples
 		for i := 1; i < n; i++ { // insertion sort: small n in tests
-			for j := i; j > 0 && less(tr[idx[j]], tr[idx[j-1]]); j-- {
+			for j := i; j > 0 && cmp(tr[idx[j]], tr[idx[j-1]]) < 0; j-- {
 				idx[j], idx[j-1] = idx[j-1], idx[j]
 			}
 		}
 	}
-	sortIdx(x.spo, lessSPO)
-	sortIdx(x.pos, lessPOS)
-	sortIdx(x.ops, lessOPS)
+	sortIdx(x.spo, cmpSPO)
+	sortIdx(x.pos, cmpPOS)
+	sortIdx(x.ops, cmpOPS)
 	for i := 1; i < n; i++ {
 		if x.triples[x.spo[i]] == x.triples[x.spo[i-1]] {
 			x.dups++
