@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race check flake cover bench bench-full bench-json bench-smoke bench-online bench-throughput bench-scale bench-repart benchmark experiments transport-race transport-smoke server-smoke scale-smoke repart-smoke oracle oracle-race update-race repart-race sparql11-race clean
+.PHONY: all build test test-race check flake cover bench bench-full bench-json bench-smoke bench-compare bench-online bench-throughput bench-scale bench-repart benchmark experiments transport-race transport-smoke server-smoke scale-smoke repart-smoke oracle oracle-race update-race repart-race sparql11-race clean
 
 all: build test
 
@@ -72,6 +72,14 @@ bench-repart:
 # traced per-layer pass and -selfcheck.
 benchmark:
 	bash benchmark/run.sh
+
+# Alternating-pair comparison of the repo benchmark between BASE and the
+# working tree: median, IQR, win share and BENCHMARK.json's bound check per
+# metric × workload; fails on an out-of-bound regression. WORKLOADS
+# defaults to all four; PAIRS and BENCH_ARGS pass through (see the script).
+bench-compare:
+	@test -n "$(BASE)" || { echo "usage: make bench-compare BASE=<rev> [WORKLOADS='watdiv_uncached ...']"; exit 2; }
+	bash scripts/bench_compare.sh $(BASE) $(WORKLOADS)
 
 # Every Benchmark function once (-benchtime=1x): catches bit-rot in
 # benchmark-only code without paying for real measurements.

@@ -192,8 +192,10 @@ func (c *Cluster) ExecutePlan(ctx context.Context, p *Plan) (*Result, error) {
 }
 
 // runBGPPlan executes a plain-BGP plan: local evaluation at the plan's
-// sites, then (for non-independent queries) the coordinator join. The
-// result carries the plan's full variable bindings — the caller projects.
+// sites (for decomposed queries, the anchored round and then the bound
+// round of evalSubs), then, for non-independent queries, the coordinator
+// join. The result carries the plan's full variable bindings — the caller
+// projects.
 // Stats fields are accumulated, not assigned, so the generalized evaluator
 // can run many BGP-leaf plans against one Stats value.
 func (c *Cluster) runBGPPlan(ctx context.Context, p *Plan, tr *obs.Trace, stats *Stats) (*store.Table, error) {
@@ -222,17 +224,10 @@ func (c *Cluster) runBGPPlan(ctx context.Context, p *Plan, tr *obs.Trace, stats 
 		final = tab
 
 	default:
-		t1 := time.Now()
-		sp = tr.Root().Child("local")
-		tables, wire, err := c.evalPerSub(ctx, p.Subs, p.SitesPerSub, sp)
-		sp.End()
+		tables, err := c.evalSubs(ctx, p, tr, stats)
 		if err != nil {
 			return nil, err
 		}
-		stats.LocalTime += time.Since(t1)
-		stats.BytesShipped += wire.BytesShipped
-		stats.WireTime += wire.WireTime
-
 		if p.Independent {
 			// No join phase at all: this is the whole point of an IEQ.
 			final = tables[0]

@@ -1,13 +1,17 @@
 package oracle
 
 import (
+	"cmp"
 	"context"
+	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"mpc/internal/cluster"
 	"mpc/internal/datagen"
+	"mpc/internal/rdf"
 	"mpc/internal/sparql"
 	"mpc/internal/store"
 )
@@ -58,6 +62,43 @@ func TestDifferentialCorpus(t *testing.T) {
 	}
 	checked, skipped := 0, 0
 	var byClass = map[string]int{}
+	watdivPerGraph := 12
+	if testing.Short() {
+		watdivPerGraph = 4
+	}
+	shapedChecked, shapedSkipped := 0, 0
+	shapedByKind := map[string]int{}
+	twoRound := map[string]int{}
+	checkShaped := func(env *Env, g *rdf.Graph, rng *rand.Rand, kind string, gi, wi int) {
+		t.Helper()
+		q, ok := watdivShaped(rng, g, kind)
+		if !ok {
+			return
+		}
+		res, err := env.Check(q)
+		if err != nil {
+			t.Fatalf("graph %d WatDiv-shaped %d:\n%s\n%v", gi, wi, q, err)
+		}
+		if res.Skipped {
+			shapedSkipped++
+			return
+		}
+		shapedChecked++
+		shapedByKind[kind]++
+		for _, cb := range env.combos {
+			if cb.partial {
+				continue
+			}
+			n := twoRound[cb.name] // recorded even when zero
+			if twoRoundPlan(cb.c, q) {
+				n++
+			}
+			twoRound[cb.name] = n
+		}
+		for _, d := range res.Divergences {
+			t.Errorf("graph %d WatDiv-shaped %d (%s anchor, %d oracle rows):\n%s\n%s", gi, wi, kind, res.OracleRows, q, d)
+		}
+	}
 	for gi, gc := range graphs {
 		g := datagen.Random{V: gc.v, P: gc.p, Skew: gc.skew}.Generate(gc.triples, int64(100+gi))
 		env, err := NewEnv(g, Options{Localize: true, Block: true, TCP: gi < 2})
@@ -97,8 +138,42 @@ func TestDifferentialCorpus(t *testing.T) {
 				t.Errorf("graph %d query %d (%d oracle rows):\n%s\n%s", gi, qi, res.OracleRows, q, d)
 			}
 		}
+		// WatDiv-shaped anchored BGPs, from their own stream so the random
+		// cases above stay as they were.
+		wrng := rand.New(rand.NewSource(int64(3000 + gi)))
+		for wi := 0; wi < watdivPerGraph; wi++ {
+			checkShaped(env, g, wrng, anchorKinds[wi%3], gi, wi) // "many" needs the hub graph
+		}
 		env.Close()
 	}
+	// One hub graph: a Zipf-skewed subject distribution gives a vertex far
+	// more distinct out-neighbours than the bound-round limit.
+	hub := datagen.Random{V: 300, P: 4, Skew: 2.5}.Generate(1200, 4242)
+	env, err := NewEnv(hub, Options{Block: true})
+	if err != nil {
+		t.Fatalf("hub graph: %v", err)
+	}
+	wrng := rand.New(rand.NewSource(4243))
+	for wi := 0; wi < 2*watdivPerGraph; wi++ {
+		checkShaped(env, hub, wrng, anchorKinds[wi%len(anchorKinds)], len(graphs), wi)
+	}
+	env.Close()
+	t.Logf("WatDiv-shaped: checked %d cases by anchor size %v, skipped %d; two-round plans per combo %v",
+		shapedChecked, shapedByKind, shapedSkipped, twoRound)
+	if !testing.Short() {
+		for _, kind := range anchorKinds {
+			if shapedByKind[kind] == 0 {
+				t.Errorf("no WatDiv-shaped case with a %q anchored side was checked", kind)
+			}
+		}
+		for name, n := range twoRound {
+			if n == 0 {
+				t.Errorf("combo %s never planned a two-round case", name)
+			}
+		}
+	}
+	checked += shapedChecked
+	skipped += shapedSkipped
 	t.Logf("checked %d cases (%v), skipped %d (oracle budget)", checked, byClass, skipped)
 	if !testing.Short() && checked < 300 {
 		t.Fatalf("only %d checked cases; corpus must cover at least 300", checked)
@@ -111,6 +186,145 @@ func TestDifferentialCorpus(t *testing.T) {
 			t.Errorf("corpus checked no %s-class queries", class)
 		}
 	}
+}
+
+// anchorKinds are the anchored-side sizes the WatDiv-shaped cases cover:
+// the number of distinct values the anchor pattern gives its join
+// variable. "many" is well above the coordinator's bound-round limit (64),
+// so it exercises the unbound fallback; the others exercise the empty
+// short-circuit and the bound round.
+var anchorKinds = []string{"zero", "one", "few", "many"}
+
+// watdivShaped builds a WatDiv-style linear, snowflake or complex BGP over
+// g's properties whose first pattern anchors ?v0 at a constant chosen from
+// the live data to give the requested number of distinct ?v0 values. ok
+// is false when g has no anchor of that size.
+func watdivShaped(rng *rand.Rand, g *rdf.Graph, kind string) (q *sparql.Query, ok bool) {
+	// Distinct neighbours per (vertex, property, direction), and per vertex
+	// over all properties for the "many" anchors.
+	type key struct {
+		v   rdf.VertexID
+		p   rdf.PropertyID
+		out bool
+	}
+	nbrs := map[key]map[rdf.VertexID]bool{}
+	outAll := map[rdf.VertexID]map[rdf.VertexID]bool{}
+	add := func(k key, w rdf.VertexID) {
+		if nbrs[k] == nil {
+			nbrs[k] = map[rdf.VertexID]bool{}
+		}
+		nbrs[k][w] = true
+	}
+	for _, i := range g.LiveTriples() {
+		tr := g.Triple(i)
+		add(key{tr.S, tr.P, true}, tr.O)
+		add(key{tr.O, tr.P, false}, tr.S)
+		if outAll[tr.S] == nil {
+			outAll[tr.S] = map[rdf.VertexID]bool{}
+		}
+		outAll[tr.S][tr.O] = true
+	}
+	v := func(id rdf.VertexID) string { return sparql.Const(g.Vertices.String(uint32(id))).String() }
+	prop := func() string {
+		return sparql.Const(g.Properties.String(uint32(rng.Intn(g.NumProperties())))).String()
+	}
+	var anchor string
+	switch kind {
+	case "zero":
+		anchor = "?v0 " + prop() + " <missing>"
+		if rng.Intn(2) == 0 {
+			// A real vertex without that property: empty through the data,
+			// not through the dictionary.
+			id := rdf.VertexID(rng.Intn(g.NumVertices()))
+			p := rdf.PropertyID(rng.Intn(g.NumProperties()))
+			if len(nbrs[key{id, p, true}]) == 0 {
+				anchor = v(id) + " " + sparql.Const(g.Properties.String(uint32(p))).String() + " ?v0"
+			}
+		}
+	case "one", "few":
+		lo, hi := 1, 1
+		if kind == "few" {
+			lo, hi = 2, 8
+		}
+		var keys []key
+		for k, set := range nbrs {
+			if len(set) >= lo && len(set) <= hi {
+				keys = append(keys, k)
+			}
+		}
+		if len(keys) == 0 {
+			return nil, false
+		}
+		// Map order is random; sort for a reproducible pick.
+		slices.SortFunc(keys, func(a, b key) int {
+			if c := cmp.Or(cmp.Compare(a.v, b.v), cmp.Compare(a.p, b.p)); c != 0 {
+				return c
+			}
+			switch {
+			case a.out == b.out:
+				return 0
+			case a.out:
+				return 1
+			}
+			return -1
+		})
+		k := keys[rng.Intn(len(keys))]
+		p := sparql.Const(g.Properties.String(uint32(k.p))).String()
+		if k.out {
+			anchor = v(k.v) + " " + p + " ?v0"
+		} else {
+			anchor = "?v0 " + p + " " + v(k.v)
+		}
+	case "many":
+		hub, best := rdf.VertexID(0), 0
+		for s, set := range outAll {
+			if len(set) > best || (len(set) == best && s < hub) {
+				hub, best = s, len(set)
+			}
+		}
+		if best <= 100 {
+			return nil, false
+		}
+		anchor = v(hub) + " ?pa ?v0"
+	}
+	p := make([]string, 6)
+	for i := range p {
+		p[i] = prop()
+	}
+	var body string
+	switch rng.Intn(5) {
+	case 0: // L1-like
+		body = fmt.Sprintf("?v0 %s ?v1 . ?v1 %s ?v2", p[0], p[1])
+	case 1: // L5-like
+		body = fmt.Sprintf("?v0 %s ?v1 . ?v1 %s ?v2 . ?v2 %s ?v3", p[0], p[1], p[2])
+	case 2: // F1-like
+		body = fmt.Sprintf("?v0 %s ?v1 . ?v0 %s ?v2 . ?v1 %s ?v3 . ?v3 %s ?v4", p[0], p[1], p[2], p[3])
+	case 3: // F2-like
+		body = fmt.Sprintf("?v0 %s ?v1 . ?v1 %s ?v2 . ?v1 %s ?v3", p[0], p[1], p[2])
+	default: // C2-like
+		body = fmt.Sprintf("?v0 %s ?v1 . ?v1 %s ?v2 . ?v2 %s ?v3 . ?v0 %s ?v4 . ?v4 %s ?v5", p[0], p[1], p[2], p[3], p[4])
+	}
+	return sparql.MustParse("SELECT * WHERE { " + anchor + " . " + body + " }"), true
+}
+
+// twoRoundPlan reports whether c plans q with both an anchored subquery
+// (a constant subject or object) and an unanchored one, which is when the
+// coordinator runs the anchored round and then the bound round.
+func twoRoundPlan(c *cluster.Cluster, q *sparql.Query) bool {
+	p := c.Plan(q)
+	if p.Independent {
+		return false
+	}
+	anchored := 0
+	for _, sub := range p.Subs {
+		for _, tp := range sub.Patterns {
+			if !tp.S.IsVar || !tp.O.IsVar {
+				anchored++
+				break
+			}
+		}
+	}
+	return anchored > 0 && anchored < len(p.Subs)
 }
 
 // TestDifferentialTCP repeats a slice of the corpus with a loopback-TCP
@@ -190,10 +404,45 @@ func TestPR2JoinFixesPinned(t *testing.T) {
 
 // corruptSite wraps a per-site store and sabotages its answers in a chosen
 // way. It stands in for a real evaluation bug: the differential harness
-// must catch every variant.
+// must catch every variant. others are the honest sites' stores: the
+// coordinator deduplicates across sites, so a dropped row only shows when
+// no other site returns it too.
 type corruptSite struct {
-	st   *store.Store
-	mode string
+	st     *store.Store
+	others []*store.Store
+	mode   string
+}
+
+// dropUnique removes the smallest row of tab that no store in others
+// returns for sub, so the choice does not depend on the matcher's row
+// order. Every store compiles sub to the same column order.
+func dropUnique(tab *store.Table, sub *sparql.Query, others []*store.Store) (*store.Table, error) {
+	elsewhere := map[string]bool{}
+	for _, st := range others {
+		t, err := st.Match(sub)
+		if err != nil {
+			return nil, err
+		}
+		for r := 0; r < t.Len(); r++ {
+			elsewhere[fmt.Sprint(t.Row(r))] = true
+		}
+	}
+	drop := -1
+	for r := 0; r < tab.Len(); r++ {
+		if !elsewhere[fmt.Sprint(tab.Row(r))] && (drop < 0 || slices.Compare(tab.Row(r), tab.Row(drop)) < 0) {
+			drop = r
+		}
+	}
+	if drop < 0 {
+		return tab, nil
+	}
+	out := store.NewTable(tab.Vars, tab.Kinds)
+	for r := 0; r < tab.Len(); r++ {
+		if r != drop {
+			out.AppendRow(tab.Row(r)...)
+		}
+	}
+	return out, nil
 }
 
 func (s corruptSite) ExecuteSub(_ context.Context, sub *sparql.Query, _ cluster.SubOpts) (*store.Table, cluster.SubStats, error) {
@@ -203,7 +452,7 @@ func (s corruptSite) ExecuteSub(_ context.Context, sub *sparql.Query, _ cluster.
 	}
 	switch s.mode {
 	case "drop-row":
-		tab.Truncate(tab.Len() - 1)
+		tab, err = dropUnique(tab, sub, s.others)
 	case "extra-row":
 		if tab.Stride() > 0 {
 			row := append([]uint32(nil), tab.Row(0)...)
@@ -225,7 +474,7 @@ func (s corruptSite) ExecuteSub(_ context.Context, sub *sparql.Query, _ cluster.
 			tab = cut
 		}
 	}
-	return tab, cluster.SubStats{}, nil
+	return tab, cluster.SubStats{}, err
 }
 
 type honestSite struct{ st *store.Store }
@@ -266,7 +515,7 @@ func TestInjectedBugIsCaught(t *testing.T) {
 		sites := make([]cluster.Site, len(stores))
 		for i, st := range stores {
 			if i == 0 {
-				sites[i] = corruptSite{st, mode}
+				sites[i] = corruptSite{st, stores[1:], mode}
 			} else {
 				sites[i] = honestSite{st}
 			}

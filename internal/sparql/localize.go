@@ -1,5 +1,7 @@
 package sparql
 
+import "strings"
+
 // LocalizableTerms returns the constant subject/object terms of an IEQ
 // whose matches are guaranteed to be *internal* vertices of the partition
 // holding the match. If any such constant is known, the query only needs to
@@ -98,7 +100,16 @@ func coreVertexKeys(q *Query, isCrossing CrossingTest) map[string]bool {
 		return core
 	}
 	// All singletons: the core is a center touching every crossing edge.
+	// Both endpoints of a single crossing edge are centers (the edge is
+	// replicated at both homes); prefer a constant one, since only a
+	// constant localizes, and otherwise the first in vertex order, so the
+	// choice never depends on map iteration.
+	keys := make([]string, n)
 	for key, vi := range idx {
+		keys[vi] = key
+	}
+	center := ""
+	for vi, key := range keys {
 		ok := true
 		for _, tp := range crossing {
 			if idx[tp.S.Key()] != vi && idx[tp.O.Key()] != vi {
@@ -106,10 +117,15 @@ func coreVertexKeys(q *Query, isCrossing CrossingTest) map[string]bool {
 				break
 			}
 		}
-		if ok {
-			core[key] = true
-			return core
+		if ok && (center == "" || !strings.HasPrefix(key, "?")) {
+			center = key
+			if !strings.HasPrefix(key, "?") {
+				break
+			}
 		}
+	}
+	if center != "" {
+		core[center] = true
 	}
 	return core
 }

@@ -77,3 +77,21 @@ func TestLocalizableTermsNoConstants(t *testing.T) {
 		t.Fatalf("terms = %v, want none", terms)
 	}
 }
+
+func TestLocalizableTermsSingleCrossingEdge(t *testing.T) {
+	// Both endpoints of one crossing edge are star centers (the edge is
+	// replicated at both homes). The constant one must be chosen, every
+	// time: the choice once followed map iteration order.
+	for _, qs := range []string{
+		`SELECT * WHERE { ?x <cross> <c> }`,
+		`SELECT * WHERE { <c> <cross> ?x }`,
+	} {
+		q := MustParse(qs)
+		for i := 0; i < 20; i++ {
+			terms := LocalizableTerms(q, crossingSet("cross"))
+			if len(terms) != 1 || terms[0].Value != "c" {
+				t.Fatalf("%s: terms = %v, want [c]", qs, terms)
+			}
+		}
+	}
+}

@@ -120,15 +120,16 @@ func (st *Store) planOrder(c *compiled) []int {
 		}
 		return cnt
 	}
+	// Each estimate is an index probe, so take them once, not per step.
 	// Unlocked index internals rather than the public
 	// CountProperty/NumTriples: planOrder runs under Match's read lock and
 	// a recursive RLock can deadlock against a queued writer.
-	estimate := func(cp cpattern) int {
-		switch {
-		case !cp.p.isVar:
-			return st.idx.countProperty(rdf.PropertyID(cp.p.id))
-		default:
-			return st.idx.numTriples()
+	est := make([]int, n)
+	for i, cp := range c.pats {
+		if cp.p.isVar {
+			est[i] = st.idx.numTriples()
+		} else {
+			est[i] = st.idx.countProperty(rdf.PropertyID(cp.p.id))
 		}
 	}
 	for len(order) < n {
@@ -137,7 +138,7 @@ func (st *Store) planOrder(c *compiled) []int {
 			if used[i] {
 				continue
 			}
-			b, e := boundCount(cp), estimate(cp)
+			b, e := boundCount(cp), est[i]
 			if b > bestBound || (b == bestBound && e < bestEst) {
 				best, bestBound, bestEst = i, b, e
 			}
