@@ -17,8 +17,10 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-# The CI gate: vet, build, and the full test suite under the race detector.
+# The CI gate: formatting, vet, build, and the full test suite under the
+# race detector. Fails on any Go file gofmt would change.
 check:
+	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...

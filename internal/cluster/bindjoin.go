@@ -47,16 +47,17 @@ func (c *Cluster) evalSubs(ctx context.Context, p *Plan, tr *obs.Trace, stats *S
 		}
 	}
 	if len(anchored) == 0 || len(anchored) == len(p.Subs) {
-		return c.evalRound(ctx, "local", p.Subs, p.SitesPerSub, tr, stats)
+		return c.evalRound(ctx, "local", p.Subs, p.SitesPerSub, p.Anchors, tr, stats)
 	}
 
 	// Round 1: the anchored subqueries.
 	subs := make([]*sparql.Query, len(anchored))
 	sites := make([][]int, len(anchored))
+	anchors := make([]string, len(anchored))
 	for i, si := range anchored {
-		subs[i], sites[i] = p.Subs[si], p.SitesPerSub[si]
+		subs[i], sites[i], anchors[i] = p.Subs[si], p.SitesPerSub[si], p.anchor(si)
 	}
-	first, err := c.evalRound(ctx, "local", subs, sites, tr, stats)
+	first, err := c.evalRound(ctx, "local", subs, sites, anchors, tr, stats)
 	if err != nil {
 		return nil, err
 	}
@@ -84,7 +85,7 @@ func (c *Cluster) evalSubs(ctx context.Context, p *Plan, tr *obs.Trace, stats *S
 	}
 	binds := map[int]bound{}
 	at := make([]int, len(p.Subs))
-	subs, sites = nil, nil
+	subs, sites, anchors = nil, nil, nil
 	g := c.layout.Graph()
 	for si, sub := range p.Subs {
 		if tables[si] != nil {
@@ -95,16 +96,24 @@ func (c *Cluster) evalSubs(ctx context.Context, p *Plan, tr *obs.Trace, stats *S
 		if v == "" {
 			subs = append(subs, sub)
 			sites = append(sites, p.SitesPerSub[si])
+			anchors = append(anchors, p.anchor(si))
 			continue
 		}
 		binds[si] = bound{v, vals}
+		// An instance keeps its template's anchor unless that is the
+		// variable it binds; then it has none.
+		anchor := p.anchor(si)
+		if anchor == v {
+			anchor = ""
+		}
 		for _, val := range vals {
 			inst := instantiate(sub, v, g.Vertices.String(val))
 			subs = append(subs, inst)
 			sites = append(sites, c.narrowSites(inst, p.SitesPerSub[si]))
+			anchors = append(anchors, anchor)
 		}
 	}
-	second, err := c.evalRound(ctx, "bind", subs, sites, tr, stats)
+	second, err := c.evalRound(ctx, "bind", subs, sites, anchors, tr, stats)
 	if err != nil {
 		return nil, err
 	}
@@ -123,10 +132,10 @@ func (c *Cluster) evalSubs(ctx context.Context, p *Plan, tr *obs.Trace, stats *S
 
 // evalRound is one batched fan-out of evalPerSub, timed into stats under
 // a trace span of the given name.
-func (c *Cluster) evalRound(ctx context.Context, name string, subs []*sparql.Query, sites [][]int, tr *obs.Trace, stats *Stats) ([]*store.Table, error) {
+func (c *Cluster) evalRound(ctx context.Context, name string, subs []*sparql.Query, sites [][]int, anchors []string, tr *obs.Trace, stats *Stats) ([]*store.Table, error) {
 	t0 := time.Now()
 	sp := tr.Root().Child(name)
-	tables, wire, err := c.evalPerSub(ctx, subs, sites, sp)
+	tables, wire, err := c.evalPerSub(ctx, subs, sites, anchors, sp)
 	sp.End()
 	if err != nil {
 		return nil, err

@@ -25,7 +25,10 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mpc/internal/dsf"
@@ -218,6 +221,11 @@ type Cluster struct {
 	vp       *partition.VPLayout
 	cfg      Config
 	met      clusterMetrics
+	// anchorCheck makes every anchored merge verify itself against the
+	// hash union (SetAnchorCheck); anchorChecked counts the merges it
+	// verified.
+	anchorCheck   atomic.Bool
+	anchorChecked atomic.Int64
 
 	// Lock ordering (outermost first): commitMu → stateMu → per-site
 	// locks (a transport server's update mutex, a store's internal
@@ -484,18 +492,19 @@ func (c *Cluster) localizeSites(sub *sparql.Query) []int {
 }
 
 // evalPerSub evaluates each subquery over its own site list (in parallel
-// unless Sequential) and merges per-subquery results with deduplication.
-// An empty site list yields an empty table with the subquery's schema. It
-// serves both the vertex-disjoint path (one site list shared by all
-// subqueries, or localized lists) and the VP path (per-task site lists).
-// parent, when non-nil, receives one child span per site call. The
-// returned SubStats aggregates the transport measurements
-// of all site calls (zero for in-process clusters).
+// unless Sequential) and merges each subquery's per-site tables
+// (mergeSites). An empty site list yields an empty table with the
+// subquery's schema. It serves both the vertex-disjoint path (one site
+// list shared by all subqueries, or localized lists) and the VP path
+// (per-task site lists). anchors, when non-nil, names each subquery's
+// anchor variable (Plan.Anchors). parent, when non-nil, receives one child
+// span per site call. The returned SubStats aggregates the transport
+// measurements of all site calls (zero for in-process clusters).
 //
 // The (subquery, site) fan-out is grouped by site: all the subqueries of
 // the plan that land on one site travel as one ExecuteSubBatch exchange —
 // one frame each way instead of one round trip per subquery.
-func (c *Cluster) evalPerSub(ctx context.Context, subs []*sparql.Query, sitesPerSub [][]int, parent *obs.Span) ([]*store.Table, SubStats, error) {
+func (c *Cluster) evalPerSub(ctx context.Context, subs []*sparql.Query, sitesPerSub [][]int, anchors []string, parent *obs.Span) ([]*store.Table, SubStats, error) {
 	type key struct{ sub, site int }
 	results := make(map[key]*store.Table)
 	var wire SubStats
@@ -550,22 +559,140 @@ func (c *Cluster) evalPerSub(ctx context.Context, subs []*sparql.Query, sitesPer
 	}
 	out := make([]*store.Table, len(subs))
 	for si := range subs {
-		if len(sitesPerSub[si]) == 0 {
+		sites := sitesPerSub[si]
+		if len(sites) == 0 {
 			out[si] = emptyTableFor(subs[si])
 			continue
 		}
-		var parts []*store.Table
-		for _, site := range sitesPerSub[si] {
-			parts = append(parts, results[key{si, site}])
+		parts := make([]*store.Table, len(sites))
+		for i, site := range sites {
+			parts[i] = results[key{si, site}]
+		}
+		anchor := ""
+		if anchors != nil {
+			anchor = anchors[si]
 		}
 		var err error
-		out[si], err = unionTables(parts)
-		if err != nil {
+		if out[si], err = c.mergeSites(subs[si], anchor, sites, parts); err != nil {
 			return nil, wire, err
 		}
 	}
 	return out, wire, nil
 }
+
+// mergeSites merges one subquery's per-site tables (parts[i] from
+// sites[i]) into its answer:
+//
+//   - one site: its table as-is. A one-site list is either a localized IEQ
+//     (Theorems 3/4 put every match at the home of a core constant) or a
+//     VP / bound-round instance: complete by construction. It is never
+//     filtered by the anchor — a localizing constant may be a centre other
+//     than the anchor, and then the rows' anchors live at other sites.
+//   - an anchor, and every site of the cluster: from each site, the rows
+//     whose anchor binding that site owns (Assign[id] == site),
+//     concatenated. Theorem 5 with Definition 3.3 says the owner of
+//     μ(anchor) finds every match μ, so each match is kept exactly once
+//     and no hash table is needed (DESIGN.md §8).
+//   - otherwise (no anchor, a partial site list, a schema the slices
+//     cannot map): the deduplicating hash union.
+func (c *Cluster) mergeSites(sub *sparql.Query, anchor string, sites []int, parts []*store.Table) (*store.Table, error) {
+	if len(parts) == 1 {
+		return parts[0], nil
+	}
+	if anchor != "" && len(sites) == len(c.sites) {
+		if p, ok := c.layout.(*partition.Partitioning); ok {
+			if out, ok := anchoredConcat(parts, sites, anchor, p.Assign); ok {
+				if c.anchorCheck.Load() {
+					if err := checkAnchored(out, parts); err != nil {
+						return nil, fmt.Errorf("cluster: anchored union of { %s } on ?%s: %w", patternList(sub), anchor, err)
+					}
+					c.anchorChecked.Add(1)
+				}
+				return out, nil
+			}
+		}
+	}
+	return unionTables(parts)
+}
+
+// patternList renders a subquery's patterns on one line, for errors.
+func patternList(q *sparql.Query) string {
+	parts := make([]string, len(q.Patterns))
+	for i, tp := range q.Patterns {
+		parts[i] = tp.String()
+	}
+	return strings.Join(parts, " ")
+}
+
+// anchoredConcat concatenates, from each site's table, the rows whose
+// anchor column holds a vertex that site owns. It reports false — use the
+// hash union — when a table lacks the anchor column or does not share the
+// first table's column order, or a binding is outside the assignment.
+func anchoredConcat(parts []*store.Table, sites []int, anchor string, assign []int32) (*store.Table, bool) {
+	first := parts[0]
+	col := first.Col(anchor)
+	if col < 0 || first.Kinds[col] != store.KindVertex {
+		return nil, false
+	}
+	rows := 0
+	for _, t := range parts {
+		if !slices.Equal(t.Vars, first.Vars) {
+			return nil, false
+		}
+		rows += t.Len()
+	}
+	out := store.NewTable(first.Vars, first.Kinds)
+	out.Grow(rows)
+	w := len(first.Vars)
+	for i, t := range parts {
+		site := int32(sites[i])
+		n := t.Len()
+		for r := 0; r < n; r++ {
+			v := t.Data[r*w+col]
+			if int(v) >= len(assign) {
+				return nil, false
+			}
+			if assign[v] == site {
+				out.Data = append(out.Data, t.Data[r*w:(r+1)*w]...)
+			}
+		}
+	}
+	return out, true
+}
+
+// checkAnchored verifies one anchored merge against the hash union of the
+// same per-site tables: the anchored slices must be pairwise disjoint, and
+// their concatenation must hold every row the union does. Every
+// concatenated row comes from some site's table, so equal distinct counts
+// mean equal sets. It backs SetAnchorCheck.
+func checkAnchored(concat *store.Table, parts []*store.Table) error {
+	set, err := dedupTable(concat)
+	if err != nil {
+		return err
+	}
+	if set.Len() != concat.Len() {
+		return fmt.Errorf("anchored slices overlap: %d rows, %d distinct", concat.Len(), set.Len())
+	}
+	union, err := unionTables(parts)
+	if err != nil {
+		return err
+	}
+	if union.Len() != set.Len() {
+		return fmt.Errorf("anchored concatenation has %d rows, hash union %d", set.Len(), union.Len())
+	}
+	return nil
+}
+
+// SetAnchorCheck turns on a verification of every anchored merge: each one
+// also computes the hash union of the same per-site tables and fails the
+// query, naming the subquery and its anchor, when the anchored slices
+// overlap or miss a row. It costs a hash union per merge; the differential
+// tests turn it on.
+func (c *Cluster) SetAnchorCheck(on bool) { c.anchorCheck.Store(on) }
+
+// AnchorChecks returns how many anchored merges SetAnchorCheck's
+// verification has passed.
+func (c *Cluster) AnchorChecks() int64 { return c.anchorChecked.Load() }
 
 // unionTables merges same-schema tables, deduplicating rows. Sites share
 // dictionaries, so columns align by variable name; the tables may permute
@@ -585,13 +712,23 @@ func unionTables(tables []*store.Table) (*store.Table, error) {
 	out := store.NewTable(tables[0].Vars, tables[0].Kinds)
 	width := len(out.Vars)
 	exact := width <= 2
+	rows := 0
+	for _, tab := range tables {
+		rows += tab.Len()
+	}
 	var seenPacked map[uint64]struct{} // injective packed keys (width ≤ 2)
 	var seenHash map[uint64][]int32    // hash → output row indices (wider)
 	var seenZero bool                  // width == 0: at most one (empty) row
-	if exact {
-		seenPacked = make(map[uint64]struct{})
-	} else {
-		seenHash = make(map[uint64][]int32)
+	// Size the output and the dedup map for the input: the common case is
+	// few duplicates, and growing either by doubling costs more than the
+	// slack.
+	if width > 0 {
+		out.Grow(rows)
+		if exact {
+			seenPacked = make(map[uint64]struct{}, rows)
+		} else {
+			seenHash = make(map[uint64][]int32, rows)
+		}
 	}
 	colMap := make([]int, width)
 	for _, tab := range tables {

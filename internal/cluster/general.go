@@ -40,7 +40,7 @@ func (c *Cluster) runGeneral(ctx context.Context, q *sparql.Query, tr *obs.Trace
 	}
 	// Filters attached to the query root (wire-delivered pushdowns) apply
 	// to the final bindings.
-	return ge.filterTable(tab, q.Filters), nil
+	return ge.c.filterTable(tab, q.Filters), nil
 }
 
 // eval dispatches one operator-tree node.
@@ -133,7 +133,7 @@ func (ge *genExec) evalGroup(g *sparql.Group) (*store.Table, error) {
 			return nil, err
 		}
 	}
-	return ge.filterTable(acc, post), nil
+	return ge.c.filterTable(acc, post), nil
 }
 
 // evalBGPLeaf plans and executes one conjunctive leaf through the standard
@@ -146,40 +146,23 @@ func (ge *genExec) evalBGPLeaf(bg *sparql.BGP, conjs []sparql.Expr) (*store.Tabl
 	p := ge.c.planLocked(leaf)
 	ge.stats.NumSubqueries += len(p.Subs)
 	ge.stats.DecompTime += p.DecompTime
-	var post []sparql.Expr
-	for _, e := range conjs {
-		vars := sparql.ExprVars(e)
-		attached := false
-		for _, sub := range p.Subs {
-			bound := map[string]bool{}
-			for _, v := range sub.Vars() {
-				bound[v] = true
-			}
-			if coveredBy(vars, bound) {
-				sub.Filters = append(sub.Filters, e)
-				attached = true
-			}
-		}
-		if !attached {
-			post = append(post, e)
-		}
-	}
+	post := attachFilters(p.Subs, conjs)
 	tab, err := ge.c.runBGPPlan(ge.ctx, p, ge.tr, ge.stats)
 	if err != nil {
 		return nil, err
 	}
-	return ge.filterTable(tab, post), nil
+	return ge.c.filterTable(tab, post), nil
 }
 
 // filterTable keeps the rows on which every expression evaluates to true
 // (SPARQL three-valued semantics: an error drops the row). Null and absent
 // columns read as unbound; values resolve through the coordinator
 // dictionaries by column kind.
-func (ge *genExec) filterTable(t *store.Table, exprs []sparql.Expr) *store.Table {
+func (c *Cluster) filterTable(t *store.Table, exprs []sparql.Expr) *store.Table {
 	if len(exprs) == 0 || t.Len() == 0 {
 		return t
 	}
-	g := ge.c.layout.Graph()
+	g := c.layout.Graph()
 	out := store.NewTable(t.Vars, t.Kinds)
 	n := t.Len()
 	for r := 0; r < n; r++ {
@@ -290,6 +273,10 @@ func joinCompat(a, b *store.Table, leftOuter bool, met *clusterMetrics) (*store.
 	exact := len(cleanA) <= 2
 	idx := buildIndex(b, cleanB, exact)
 	aN, bN := a.Len(), b.Len()
+	if leftOuter {
+		// A left join emits at least one row per left row.
+		out.Grow(aN)
+	}
 	outRows := 0
 	for ra := 0; ra < aN; ra++ {
 		matched := false
@@ -373,6 +360,11 @@ func unionMerge(tables []*store.Table) (*store.Table, error) {
 		}
 		return out, nil
 	}
+	rows := 0
+	for _, t := range tables {
+		rows += t.Len()
+	}
+	out.Grow(rows)
 	row := make([]uint32, w)
 	for _, t := range tables {
 		cm := make([]int, w)
@@ -763,6 +755,7 @@ func (e *distPath) expand(vs []uint32, props []string, fwd bool) ([]uint32, erro
 	g := e.ge.c.layout.Graph()
 	var subs []*sparql.Query
 	var sites [][]int
+	var anchors []string
 	for _, v := range vs {
 		name := g.Vertices.String(v)
 		for _, prop := range props {
@@ -777,12 +770,15 @@ func (e *distPath) expand(vs []uint32, props []string, fwd bool) ([]uint32, erro
 			e.ge.stats.NumSubqueries += len(lp.Subs)
 			subs = append(subs, lp.Subs...)
 			sites = append(sites, lp.SitesPerSub...)
+			for si := range lp.Subs {
+				anchors = append(anchors, lp.anchor(si))
+			}
 		}
 	}
 	sp := e.ge.tr.Root().Child("path_frontier")
 	sp.SetAttr("subqueries", int64(len(subs)))
 	t0 := time.Now()
-	tables, wire, err := e.ge.c.evalPerSub(e.ge.ctx, subs, sites, sp)
+	tables, wire, err := e.ge.c.evalPerSub(e.ge.ctx, subs, sites, anchors, sp)
 	sp.End()
 	if err != nil {
 		return nil, err

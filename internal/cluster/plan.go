@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"mpc/internal/obs"
+	"mpc/internal/partition"
 	"mpc/internal/sparql"
 	"mpc/internal/store"
 )
@@ -33,6 +34,13 @@ type Plan struct {
 	// unknown property) and contributes a typed empty table without any
 	// site visit.
 	SitesPerSub [][]int
+	// Anchors names, per subquery, the variable whose binding's home site
+	// holds every match of the subquery (sparql.Anchor), or "" when there
+	// is none: non-IEQ pieces, edge-disjoint layouts, cores of constants
+	// only. A fan-out to every site keeps from each site only the rows
+	// whose anchor binding it owns, so the per-site answers concatenate
+	// without a hash union (DESIGN.md §8). Nil when no subquery has one.
+	Anchors []string
 	// DecompTime is how long classification + decomposition took — the QDT
 	// stat, attached to every execution of this plan.
 	DecompTime time.Duration
@@ -42,6 +50,11 @@ type Plan struct {
 	// case (one site, its table is the complete answer as-is) and the VP
 	// single-unknown-property case (no sites, typed empty table).
 	direct bool
+
+	// filters are the FILTER conjuncts of a single-group query that no
+	// subquery's variables cover: the coordinator applies them to the
+	// plan's result (the covered ones travel in the subqueries' Filters).
+	filters []sparql.Expr
 
 	// general marks a generalized query (OPTIONAL/UNION/FILTER/property
 	// paths, q.Where != nil). Such queries are executed by the operator-tree
@@ -57,6 +70,14 @@ type Plan struct {
 	version uint64
 }
 
+// anchor returns subquery si's anchor variable, or "".
+func (p *Plan) anchor(si int) string {
+	if p.Anchors == nil {
+		return ""
+	}
+	return p.Anchors[si]
+}
+
 // Plan classifies and decomposes q for this cluster's mode without
 // executing anything. The plan is safe to execute concurrently and
 // repeatedly via ExecutePlan, including across committed updates (it is
@@ -70,61 +91,124 @@ func (c *Cluster) Plan(q *sparql.Query) *Plan {
 // planLocked builds a plan; the caller holds stateMu (either mode).
 func (c *Cluster) planLocked(q *sparql.Query) *Plan {
 	t0 := time.Now()
+	bgp := q
+	var conjs []sparql.Expr
 	if !q.IsBGP() {
-		// Generalized queries carry their strategy in the operator tree
-		// itself: each BGP leaf is classified and decomposed by this same
-		// planner when the evaluator reaches it, so there is nothing to
-		// precompute here. Theorem 5 does not apply to the query as a whole —
-		// report ClassNonIEQ.
-		return &Plan{
-			Query:      q,
-			Class:      sparql.ClassNonIEQ,
-			general:    true,
-			DecompTime: time.Since(t0),
-			version:    c.version,
-		}
-	}
-	var p *Plan
-	switch c.cfg.Mode {
-	case ModeVP:
-		p = c.planVP(q)
-	case ModeStarOnly:
-		p = c.planVertexDisjoint(q, sparql.ClassifyPlain(q), sparql.DecomposeStars)
-	default:
-		class := sparql.Classify(q, c.crossing)
-		decomp := func(q *sparql.Query) []*sparql.Query {
-			return sparql.Decompose(q, c.crossing)
-		}
-		if len(q.Patterns) > 1 && !q.IsWeaklyConnected() {
-			// Classification (Definitions 5.1–5.3) assumes a weakly connected
-			// query; on a disconnected one it can report an IEQ class whose
-			// per-site union misses matches that combine components matched at
-			// different sites. Classify and decompose each component instead,
-			// and let the coordinator join (Cartesian across components,
-			// filtered by any shared property variable).
-			class = sparql.ClassNonIEQ
-			decomp = func(q *sparql.Query) []*sparql.Query {
-				var subs []*sparql.Query
-				for _, comp := range q.ConnectedComponents() {
-					subs = append(subs, sparql.Decompose(comp, c.crossing)...)
-				}
-				return subs
+		leaf, filters, ok := singleBGP(q)
+		if !ok {
+			// Generalized queries carry their strategy in the operator tree
+			// itself: each BGP leaf is classified and decomposed by this
+			// same planner when the evaluator reaches it, so there is
+			// nothing to precompute here. Theorem 5 does not apply to the
+			// query as a whole — report ClassNonIEQ.
+			return &Plan{
+				Query:      q,
+				Class:      sparql.ClassNonIEQ,
+				general:    true,
+				DecompTime: time.Since(t0),
+				version:    c.version,
 			}
 		}
-		p = c.planVertexDisjoint(q, class, decomp)
+		// One BGP plus FILTERs is that BGP: its filters run site-side
+		// wherever a subquery covers them, so its class is the BGP's.
+		bgp, conjs = leaf, filters
 	}
+	p := c.planBGP(bgp)
+	p.filters = attachFilters(p.Subs, conjs)
 	p.Query = q
 	p.DecompTime = time.Since(t0)
 	p.version = c.version
 	return p
 }
 
+// planBGP plans a conjunctive query for this cluster's mode.
+func (c *Cluster) planBGP(q *sparql.Query) *Plan {
+	switch c.cfg.Mode {
+	case ModeVP:
+		return c.planVP(q)
+	case ModeStarOnly:
+		// Every edge counts as crossing here, so a star's anchor is its
+		// centre: Definition 3.3 puts every edge incident to the centre's
+		// binding at that vertex's home site.
+		return c.planVertexDisjoint(q, sparql.ClassifyPlain(q), sparql.DecomposeStars, sparql.AllCrossing)
+	}
+	class := sparql.Classify(q, c.crossing)
+	decomp := func(q *sparql.Query) []*sparql.Query {
+		return sparql.Decompose(q, c.crossing)
+	}
+	if len(q.Patterns) > 1 && !q.IsWeaklyConnected() {
+		// Classification (Definitions 5.1–5.3) assumes a weakly connected
+		// query; on a disconnected one it can report an IEQ class whose
+		// per-site union misses matches that combine components matched at
+		// different sites. Classify and decompose each component instead,
+		// and let the coordinator join (Cartesian across components,
+		// filtered by any shared property variable).
+		class = sparql.ClassNonIEQ
+		decomp = func(q *sparql.Query) []*sparql.Query {
+			var subs []*sparql.Query
+			for _, comp := range q.ConnectedComponents() {
+				subs = append(subs, sparql.Decompose(comp, c.crossing)...)
+			}
+			return subs
+		}
+	}
+	return c.planVertexDisjoint(q, class, decomp, c.crossing)
+}
+
+// singleBGP reports whether q's operator tree is one group holding one BGP
+// plus FILTERs, and returns that BGP as a fresh query with the group's
+// FILTER conjuncts (and any pushed root filters).
+func singleBGP(q *sparql.Query) (*sparql.Query, []sparql.Expr, bool) {
+	g, ok := q.Where.(*sparql.Group)
+	if !ok || len(g.Parts) != 1 {
+		return nil, nil, false
+	}
+	bg, ok := g.Parts[0].(*sparql.BGP)
+	if !ok {
+		return nil, nil, false
+	}
+	var conjs []sparql.Expr
+	for _, f := range g.Filters {
+		conjs = append(conjs, sparql.SplitConjuncts(f)...)
+	}
+	conjs = append(conjs, q.Filters...)
+	return &sparql.Query{Patterns: bg.Patterns}, conjs, true
+}
+
+// attachFilters pushes each FILTER conjunct into every subquery whose
+// variables cover it — sites evaluate it inside the match recursion — and
+// returns the conjuncts no subquery covers, which the coordinator applies
+// to the joined result. The subqueries must be the caller's own.
+func attachFilters(subs []*sparql.Query, conjs []sparql.Expr) []sparql.Expr {
+	var post []sparql.Expr
+	for _, e := range conjs {
+		vars := sparql.ExprVars(e)
+		attached := false
+		for _, sub := range subs {
+			bound := map[string]bool{}
+			for _, v := range sub.Vars() {
+				bound[v] = true
+			}
+			if coveredBy(vars, bound) {
+				sub.Filters = append(sub.Filters, e)
+				attached = true
+			}
+		}
+		if !attached {
+			post = append(post, e)
+		}
+	}
+	return post
+}
+
 // planVertexDisjoint is the common planner for all vertex-disjoint layouts:
 // IEQs run whole at every site (union of complete per-site answers);
 // non-IEQs are decomposed and each subquery is evaluated over every site
-// (or only the localized sites when Config.Localize applies).
+// (or only the localized sites when Config.Localize applies). Each
+// subquery's anchor is computed under anchorOn, the crossing test its
+// class was judged by.
 func (c *Cluster) planVertexDisjoint(q *sparql.Query, class sparql.Class,
-	decompose func(*sparql.Query) []*sparql.Query) *Plan {
+	decompose func(*sparql.Query) []*sparql.Query, anchorOn sparql.CrossingTest) *Plan {
 
 	p := &Plan{Class: class}
 	if class.IsIEQ() {
@@ -134,6 +218,7 @@ func (c *Cluster) planVertexDisjoint(q *sparql.Query, class sparql.Class,
 		p.Subs = decompose(q)
 	}
 	p.SitesPerSub = make([][]int, len(p.Subs))
+	_, owned := c.layout.(*partition.Partitioning)
 	for si, sub := range p.Subs {
 		if c.cfg.Localize && c.crossing != nil {
 			// Empty means a localizable constant proves the subquery empty
@@ -141,6 +226,15 @@ func (c *Cluster) planVertexDisjoint(q *sparql.Query, class sparql.Class,
 			p.SitesPerSub[si] = c.localizeSites(sub)
 		} else {
 			p.SitesPerSub[si] = c.allSites()
+		}
+		if !owned {
+			continue
+		}
+		if a := sparql.Anchor(sub, anchorOn); a != "" {
+			if p.Anchors == nil {
+				p.Anchors = make([]string, len(p.Subs))
+			}
+			p.Anchors[si] = a
 		}
 	}
 	return p
@@ -183,6 +277,7 @@ func (c *Cluster) ExecutePlan(ctx context.Context, p *Plan) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	final = c.filterTable(final, p.filters)
 
 	sp = tr.Root().Child("project")
 	final = project(final, p.Query)

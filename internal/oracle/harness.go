@@ -174,6 +174,13 @@ func NewEnv(g *rdf.Graph, o Options) (*Env, error) {
 			return nil, err
 		}
 	}
+	// Every anchored merge of per-site answers (Plan.Anchors) is checked
+	// against the hash union of the same tables: the anchored slices must
+	// be disjoint and concatenate to the union. A failure is an execution
+	// error naming the subquery, which Check reports as a hard error.
+	for _, cb := range e.combos {
+		cb.c.SetAnchorCheck(true)
+	}
 	return e, nil
 }
 
@@ -343,6 +350,16 @@ func (e *Env) Combos() []string {
 		names[i] = cb.name
 	}
 	return names
+}
+
+// AnchorChecks returns, per combination, how many anchored merges of
+// per-site answers passed the check NewEnv turns on.
+func (e *Env) AnchorChecks() map[string]int64 {
+	out := make(map[string]int64, len(e.combos))
+	for _, cb := range e.combos {
+		out[cb.name] = cb.c.AnchorChecks()
+	}
+	return out
 }
 
 // CheckResult is the outcome of one differential case.

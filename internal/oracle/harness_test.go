@@ -69,6 +69,13 @@ func TestDifferentialCorpus(t *testing.T) {
 	shapedChecked, shapedSkipped := 0, 0
 	shapedByKind := map[string]int{}
 	twoRound := map[string]int{}
+	anchored := map[string]int64{} // anchored merges verified, per combo
+	closeEnv := func(env *Env) {
+		for name, n := range env.AnchorChecks() {
+			anchored[name] += n
+		}
+		env.Close()
+	}
 	checkShaped := func(env *Env, g *rdf.Graph, rng *rand.Rand, kind string, gi, wi int) {
 		t.Helper()
 		q, ok := watdivShaped(rng, g, kind)
@@ -144,7 +151,7 @@ func TestDifferentialCorpus(t *testing.T) {
 		for wi := 0; wi < watdivPerGraph; wi++ {
 			checkShaped(env, g, wrng, anchorKinds[wi%3], gi, wi) // "many" needs the hub graph
 		}
-		env.Close()
+		closeEnv(env)
 	}
 	// One hub graph: a Zipf-skewed subject distribution gives a vertex far
 	// more distinct out-neighbours than the bound-round limit.
@@ -157,7 +164,17 @@ func TestDifferentialCorpus(t *testing.T) {
 	for wi := 0; wi < 2*watdivPerGraph; wi++ {
 		checkShaped(env, hub, wrng, anchorKinds[wi%len(anchorKinds)], len(graphs), wi)
 	}
-	env.Close()
+	closeEnv(env)
+	// Every combination that merges per-site answers of a vertex-disjoint
+	// layout must have taken the anchored path, each merge checked against
+	// the hash union. VP has no anchors; partial evaluation never merges
+	// per-site IEQ answers.
+	t.Logf("anchored merges verified per combo: %v", anchored)
+	for name, n := range anchored {
+		if n == 0 && name != "vp" && !strings.HasSuffix(name, "/partial-eval") {
+			t.Errorf("combo %s never took the anchored merge", name)
+		}
+	}
 	t.Logf("WatDiv-shaped: checked %d cases by anchor size %v, skipped %d; two-round plans per combo %v",
 		shapedChecked, shapedByKind, shapedSkipped, twoRound)
 	if !testing.Short() {

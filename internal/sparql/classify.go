@@ -58,9 +58,20 @@ func isCrossingEdge(tp TriplePattern, isCrossing CrossingTest) bool {
 // test, per Definitions 5.1–5.3. q is assumed weakly connected (Definition
 // 3.5); callers with disconnected queries should classify each component.
 func Classify(q *Query, isCrossing CrossingTest) Class {
+	class, _, _ := classifyCore(q, isCrossing, false)
+	return class
+}
+
+// classifyCore is Classify that, when withCore is set, also returns the
+// keys, in vertex order, of every vertex of an IEQ that can stand for its
+// core: every vertex of an internal or Type-I query; the multi-vertex WCC
+// of a Type-II query; or, when every WCC is a singleton, each centre
+// touching all crossing edges (centres reports this last case). An
+// internal query of several WCCs is not weakly connected and has no core.
+func classifyCore(q *Query, isCrossing CrossingTest, withCore bool) (class Class, core []string, centres bool) {
 	idx, n := q.vertexIndex()
 	if n == 0 {
-		return ClassInternal
+		return ClassInternal, nil, false
 	}
 	// Union-find over non-crossing edges.
 	parent := make([]int, n)
@@ -86,9 +97,6 @@ func Classify(q *Query, isCrossing CrossingTest) Class {
 			parent[a] = b
 		}
 	}
-	if len(crossing) == 0 {
-		return ClassInternal
-	}
 	// Component sizes.
 	size := make([]int, n)
 	for i := 0; i < n; i++ {
@@ -106,23 +114,41 @@ func Classify(q *Query, isCrossing CrossingTest) Class {
 			}
 		}
 	}
-	if numWCC == 1 {
-		return ClassTypeI
+	var keys []string // vertex keys in vertex order
+	if withCore {
+		keys = make([]string, n)
+		for k, i := range idx {
+			keys[i] = k
+		}
 	}
-	if numMulti > 1 {
-		return ClassNonIEQ
-	}
-	if numMulti == 1 {
+	switch {
+	case numWCC == 1:
+		class = ClassTypeI
+		if len(crossing) == 0 {
+			class = ClassInternal
+		}
+		return class, keys, false
+	case len(crossing) == 0:
+		return ClassInternal, nil, false
+	case numMulti > 1:
+		return ClassNonIEQ, nil, false
+	case numMulti == 1:
 		// Every crossing edge must touch the single multi-vertex WCC.
 		for _, tp := range crossing {
 			if find(idx[tp.S.Key()]) != multiRoot && find(idx[tp.O.Key()]) != multiRoot {
-				return ClassNonIEQ
+				return ClassNonIEQ, nil, false
 			}
 		}
-		return ClassTypeII
+		for vi, key := range keys {
+			if find(vi) == multiRoot {
+				core = append(core, key)
+			}
+		}
+		return ClassTypeII, core, false
 	}
 	// All WCCs are singletons: Type-II iff some vertex q_i touches every
 	// crossing edge (then all other singletons are pairwise unconnected).
+	class = ClassNonIEQ
 	for center := 0; center < n; center++ {
 		ok := true
 		for _, tp := range crossing {
@@ -132,10 +158,14 @@ func Classify(q *Query, isCrossing CrossingTest) Class {
 			}
 		}
 		if ok {
-			return ClassTypeII
+			if !withCore {
+				return ClassTypeII, nil, false
+			}
+			class = ClassTypeII
+			core = append(core, keys[center])
 		}
 	}
-	return ClassNonIEQ
+	return class, core, true
 }
 
 // ClassifyPlain classifies a query for systems that only guarantee

@@ -128,7 +128,7 @@ func TestParseErrorByteOffsets(t *testing.T) {
 		in     string
 		offset string // "byte N" expected in the error
 	}{
-		{`SELECT ?x FROM { ?x <p> ?y }`, "byte 10"},  // FROM unsupported
+		{`SELECT ?x FROM { ?x <p> ?y }`, "byte 10"},     // FROM unsupported
 		{`SELECT * WHERE { ?x foo:bar ?y }`, "byte 20"}, // unknown prefix
 		{`SELECT * WHERE { ?x <p> ?y } junk`, "byte 29"},
 		{`SELECT * WHERE { }`, "byte 17"},

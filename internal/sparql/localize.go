@@ -18,13 +18,30 @@ import "strings"
 //
 // For non-IEQs the result is nil: localization does not apply.
 func LocalizableTerms(q *Query, isCrossing CrossingTest) []Term {
-	class := Classify(q, isCrossing)
+	class, core, centres := classifyCore(q, isCrossing, true)
 	switch class {
 	case ClassInternal, ClassTypeI:
 		return constantVertexTerms(q, nil)
 	case ClassTypeII:
-		core := coreVertexKeys(q, isCrossing)
-		return constantVertexTerms(q, core)
+		if centres && len(core) > 1 {
+			// Both endpoints of a single crossing edge are centres (the
+			// edge is replicated at both homes), but only one may pin the
+			// site: prefer a constant, since only a constant localizes,
+			// and otherwise the first in vertex order.
+			pick := core[0]
+			for _, k := range core {
+				if !strings.HasPrefix(k, "?") {
+					pick = k
+					break
+				}
+			}
+			core = []string{pick}
+		}
+		allowed := make(map[string]bool, len(core))
+		for _, k := range core {
+			allowed[k] = true
+		}
+		return constantVertexTerms(q, allowed)
 	default:
 		return nil
 	}
@@ -50,82 +67,28 @@ func constantVertexTerms(q *Query, allowed map[string]bool) []Term {
 	return out
 }
 
-// coreVertexKeys returns the vertex keys of the Type-II core: the single
-// multi-vertex WCC left after removing crossing-property edges, or — when
-// every WCC is a singleton (a star of crossing edges) — the center vertex
-// incident to every crossing edge.
-func coreVertexKeys(q *Query, isCrossing CrossingTest) map[string]bool {
-	idx, n := q.vertexIndex()
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	var crossing []TriplePattern
-	for _, tp := range q.Patterns {
-		if isCrossingEdge(tp, isCrossing) {
-			crossing = append(crossing, tp)
-			continue
-		}
-		a, b := find(idx[tp.S.Key()]), find(idx[tp.O.Key()])
-		if a != b {
-			parent[a] = b
+// Anchor returns a variable of an IEQ whose binding's home partition holds
+// every match of q, or "" when q has none. Theorem 5's proof, read with
+// Definition 3.3 (site i stores every edge incident to a vertex of V_i):
+//
+//   - internal and Type-I IEQs: every query vertex matches a vertex of one
+//     partition, so any vertex variable anchors;
+//   - Type-II IEQs: the core WCC matches inside one partition and every
+//     crossing edge touches it, so a core variable anchors; when every WCC
+//     is a singleton, a variable centre touching every crossing edge does.
+//
+// The coordinator keeps from each site only the rows whose anchor binding
+// that site owns: the per-site answers are then disjoint and their
+// concatenation is the IEQ's answer. The first qualifying variable in
+// vertex order is chosen, so the choice is deterministic. A query that is
+// not weakly connected, not an IEQ, or whose core holds only constants has
+// no anchor.
+func Anchor(q *Query, isCrossing CrossingTest) string {
+	_, core, _ := classifyCore(q, isCrossing, true)
+	for _, k := range core {
+		if strings.HasPrefix(k, "?") {
+			return k[1:]
 		}
 	}
-	size := make([]int, n)
-	for i := 0; i < n; i++ {
-		size[find(i)]++
-	}
-	multiRoot := -1
-	for i := 0; i < n; i++ {
-		if find(i) == i && size[i] > 1 {
-			multiRoot = i
-			break
-		}
-	}
-	core := map[string]bool{}
-	if multiRoot >= 0 {
-		for key, vi := range idx {
-			if find(vi) == multiRoot {
-				core[key] = true
-			}
-		}
-		return core
-	}
-	// All singletons: the core is a center touching every crossing edge.
-	// Both endpoints of a single crossing edge are centers (the edge is
-	// replicated at both homes); prefer a constant one, since only a
-	// constant localizes, and otherwise the first in vertex order, so the
-	// choice never depends on map iteration.
-	keys := make([]string, n)
-	for key, vi := range idx {
-		keys[vi] = key
-	}
-	center := ""
-	for vi, key := range keys {
-		ok := true
-		for _, tp := range crossing {
-			if idx[tp.S.Key()] != vi && idx[tp.O.Key()] != vi {
-				ok = false
-				break
-			}
-		}
-		if ok && (center == "" || !strings.HasPrefix(key, "?")) {
-			center = key
-			if !strings.HasPrefix(key, "?") {
-				break
-			}
-		}
-	}
-	if center != "" {
-		core[center] = true
-	}
-	return core
+	return ""
 }

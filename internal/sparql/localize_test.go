@@ -95,3 +95,29 @@ func TestLocalizableTermsSingleCrossingEdge(t *testing.T) {
 		}
 	}
 }
+
+func TestAnchor(t *testing.T) {
+	cases := []struct {
+		query, want string
+	}{
+		// Internal and Type-I: the first vertex variable.
+		{`SELECT * WHERE { <u1> <p1> ?x . ?x <p2> ?y }`, "x"},
+		{`SELECT * WHERE { <u> <p1> ?y . ?y <p2> ?z . <u> <p3> ?z . ?z <cross> ?y }`, "y"},
+		// Type-II: a core variable, never the satellite that comes first.
+		{`SELECT * WHERE { ?s <cross> ?x . ?x <p1> ?y }`, "x"},
+		{`SELECT * WHERE { ?x <p1> <u> . ?x <cross> <sat> }`, "x"},
+		// All singletons: a variable centre; a constant-only core has none.
+		{`SELECT * WHERE { ?f <cross> <v3> }`, "f"},
+		{`SELECT * WHERE { ?c <cross> ?a . ?c <cross> ?b }`, "c"},
+		{`SELECT * WHERE { <c> <cross> ?a . <c> <cross> ?b }`, ""},
+		// Not an IEQ, or not weakly connected: no anchor.
+		{`SELECT * WHERE { ?a <cross> ?b . ?b <cross> ?c . ?c <cross> ?d }`, ""},
+		{`SELECT * WHERE { ?a <p1> ?b . ?c <p2> ?d }`, ""},
+		{`SELECT * WHERE { <a> ?p <b> }`, ""},
+	}
+	for _, tc := range cases {
+		if got := Anchor(MustParse(tc.query), crossingSet("cross")); got != tc.want {
+			t.Errorf("%s: anchor %q, want %q", tc.query, got, tc.want)
+		}
+	}
+}

@@ -45,6 +45,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"mpc/internal/cluster"
 	"mpc/internal/rdf"
@@ -114,6 +115,12 @@ const MaxFrameBytes = 1 << 30
 // frameHeaderLen is payload length (4) + type (1) + request ID (8).
 const frameHeaderLen = 13
 
+// eagerFrameBytes is the largest payload readFrame allocates in full from
+// the header alone. A longer body grows its buffer as its bytes arrive, so
+// a header claiming up to MaxFrameBytes costs at most this much until the
+// peer actually sends the data.
+const eagerFrameBytes = 4 << 20
+
 // writeHandshake sends the protocol preamble.
 func writeHandshake(w io.Writer) error {
 	var hs [handshakeLen]byte
@@ -175,12 +182,29 @@ func readFrame(r io.Reader) (frame, int, error) {
 	}
 	f := frame{typ: hdr[4], reqID: binary.LittleEndian.Uint64(hdr[5:])}
 	if n > 0 {
-		f.payload = make([]byte, n)
-		if _, err := io.ReadFull(r, f.payload); err != nil {
+		var err error
+		if f.payload, err = readPayload(r, int(n)); err != nil {
 			return frame{}, frameHeaderLen, fmt.Errorf("transport: frame body: %w", err)
 		}
 	}
 	return f, frameHeaderLen + int(n), nil
+}
+
+// readPayload reads an n-byte frame body. Up to eagerFrameBytes it is one
+// allocation; beyond that the buffer doubles as the bytes arrive.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, min(n, eagerFrameBytes))
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return nil, err
+	}
+	for len(buf) < n {
+		have := len(buf)
+		buf = slices.Grow(buf, min(n-have, have))[:min(n, 2*have)]
+		if _, err := io.ReadFull(r, buf[have:]); err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
 }
 
 // Query payload codec: uvarint select count + names, uvarint pattern
@@ -375,7 +399,9 @@ func DecodeQueryBatch(data []byte) ([]*sparql.Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n > maxBatchQueries {
+	if n > maxBatchQueries || n > uint64(len(data)-d.pos) {
+		// Every batched query takes at least its length byte, so a count
+		// above the bytes left is corrupt — and must not size the slice.
 		return nil, fmt.Errorf("transport: codec: %d batched queries exceeds limit", n)
 	}
 	subs := make([]*sparql.Query, 0, n)
@@ -426,7 +452,7 @@ func DecodeTableBatch(data []byte) ([]*store.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n > maxBatchQueries {
+	if n > maxBatchQueries || n > uint64(len(data)-d.pos) {
 		return nil, fmt.Errorf("transport: codec: %d batched tables exceeds limit", n)
 	}
 	tabs := make([]*store.Table, 0, n)
@@ -464,6 +490,10 @@ func DecodeTableBatch(data []byte) ([]*store.Table, error) {
 // unbounded allocation.
 const maxUpdateOps = 1 << 24
 
+// minOpBytes is the shortest op encoding: the flag byte and three one-byte
+// uvarints. It bounds an op count by the bytes left to decode.
+const minOpBytes = 4
+
 // appendOps appends the wire encoding of an op list.
 func appendOps(buf []byte, ops []rdf.ResolvedUpdate) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(ops)))
@@ -486,7 +516,7 @@ func (d *queryDecoder) ops() ([]rdf.ResolvedUpdate, error) {
 	if err != nil {
 		return nil, err
 	}
-	if nOps > maxUpdateOps {
+	if nOps > maxUpdateOps || nOps > uint64(len(d.data)-d.pos)/minOpBytes {
 		return nil, fmt.Errorf("transport: codec: %d ops exceeds limit", nOps)
 	}
 	ops := make([]rdf.ResolvedUpdate, nOps)
