@@ -119,13 +119,14 @@ sparql11-race:
 		./internal/transport/ ./internal/oracle/
 
 # Live-update corpus under the race detector: the randomized insert/delete
-# streams cross-checked against the naive evaluator after every batch
-# (internal/oracle), the concurrent write/read interleavings in
+# streams cross-checked against the naive evaluator after every batch and
+# against concurrent reads (internal/oracle), the concurrent write/read
+# interleavings and the read protocol's release/rerun/pin tests in
 # internal/cluster, the update RPC path, and the serve-level cache
 # invalidation tests.
 update-race:
 	$(GO) test -race -count=1 \
-		-run 'Update|Apply|Drift|Mutat|Invalidat|Epoch' \
+		-run 'Update|Apply|Drift|Mutat|Invalidat|Epoch|ReadProtocol' \
 		./internal/oracle/ ./internal/cluster/ ./internal/transport/ \
 		./internal/serve/ ./internal/qcache/ ./internal/rdf/ \
 		./internal/store/ ./cmd/mpc-server/

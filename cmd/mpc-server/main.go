@@ -9,7 +9,7 @@
 //
 // Endpoints:
 //
-//	GET  /query?q=SELECT...&limit=N   execute a SPARQL BGP (also POST with the query as body)
+//	GET  /query?q=SELECT...&limit=N[&digest=1]   execute a SPARQL query (also POST with the query as body)
 //	POST /update                      apply a JSON batch of triple inserts/deletes
 //	GET  /healthz                     liveness probe
 //	POST /admin/repart                force one repartition cycle now (MPC strategy only)
@@ -19,9 +19,10 @@
 //	GET  /debug/pprof/...             standard profiling handlers
 //
 // A /query response is JSON: the result rows (up to limit), the total row
-// count, a canonical result digest (oracle.Canonicalize/Digest — equal
-// digests mean bit-identical result sets), the executability class, and
-// per-stage timings. Overload surfaces as HTTP 429 with a Retry-After
+// count, the executability class, and per-stage timings. With digest=1 it
+// also carries a canonical result digest (oracle.Canonicalize/Digest —
+// equal digests mean bit-identical result sets); the digest sorts the
+// whole result, so it is computed only on request. Overload surfaces as HTTP 429 with a Retry-After
 // derived from the observed median query latency; a closed client
 // connection cancels the query all the way down to the per-site RPCs.
 //
@@ -313,7 +314,7 @@ type queryResponse struct {
 	Independent bool       `json:"independent"`
 	CacheHit    bool       `json:"cache_hit"`
 	RowCount    int        `json:"row_count"`
-	Digest      string     `json:"digest"`
+	Digest      string     `json:"digest,omitempty"` // only with digest=1
 	Vars        []string   `json:"vars"`
 	Rows        [][]string `json:"rows,omitempty"`
 	Truncated   bool       `json:"truncated,omitempty"`
@@ -423,12 +424,14 @@ func queryHandler(g *rdf.Graph, sched *serve.Scheduler, reg *obs.Registry) http.
 			Independent: res.Stats.Independent,
 			CacheHit:    resp.CacheHit,
 			RowCount:    res.Table.Len(),
-			Digest:      fmt.Sprintf("%016x", oracle.Canonicalize(res.Table).Digest()),
 			Vars:        res.Table.Vars,
 			TotalNS:     res.Stats.Total().Nanoseconds(),
 			DecompNS:    res.Stats.DecompTime.Nanoseconds(),
 			LocalNS:     res.Stats.LocalTime.Nanoseconds(),
 			JoinNS:      res.Stats.JoinTime.Nanoseconds(),
+		}
+		if r.URL.Query().Get("digest") == "1" {
+			out.Digest = fmt.Sprintf("%016x", oracle.Canonicalize(res.Table).Digest())
 		}
 		if out.Vars == nil {
 			out.Vars = []string{}

@@ -294,3 +294,33 @@ func TestSitesStayMapped(t *testing.T) {
 		t.Errorf("the mapped stores hold %d triples after an insert, %d before: the update went elsewhere", after, before)
 	}
 }
+
+// TestQueryDigestOnRequest pins the digest to the digest=1 parameter: the
+// sort-based canonical digest costs a full sort of the result, so a plain
+// /query reply omits it.
+func TestQueryDigestOnRequest(t *testing.T) {
+	g, c := testCluster(t, [][3]string{{"a", "knows", "b"}, {"b", "knows", "c"}})
+	sched := serve.New(c, serve.Options{Workers: 1})
+	defer sched.Close()
+	qh := queryHandler(g, sched, obs.NewRegistry())
+	ask := func(target string) queryResponse {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		qh.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, target,
+			strings.NewReader("SELECT ?s ?o WHERE { ?s <knows> ?o }")))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: %d %s", target, rec.Code, rec.Body.String())
+		}
+		var out queryResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	if got := ask("/query"); got.Digest != "" || got.RowCount != 2 {
+		t.Fatalf("plain query: digest %q, %d rows; want no digest, 2 rows", got.Digest, got.RowCount)
+	}
+	if got := ask("/query?digest=1"); len(got.Digest) != 16 {
+		t.Fatalf("digest=1: digest %q, want 16 hex digits", got.Digest)
+	}
+}

@@ -275,9 +275,11 @@ func RunAblationWeighted(cfg Config) ([]AblationWeightedRow, error) {
 }
 
 // AblationLocalizeRow compares broadcast IEQ execution (the paper's model:
-// every site evaluates every subquery) with localized execution (Sec. V-B2
-// future work: constant-anchored IEQs run only at the constant's home).
+// every site evaluates every subquery; Config.Broadcast) with localized
+// execution (the cluster default, Sec. V-B2 future work: constant-anchored
+// IEQs run only at the constant's home).
 type AblationLocalizeRow struct {
+	// Localize is false for the broadcast arm, true for the localized one.
 	Localize  bool
 	TotalTime time.Duration
 	Queries   int
@@ -298,7 +300,7 @@ func RunAblationLocalize(cfg Config) ([]AblationLocalizeRow, error) {
 	qs := workload.LUBMQueries(g, cfg.Seed)
 	var rows []AblationLocalizeRow
 	for _, localize := range []bool{false, true} {
-		c, err := cluster.NewFromPartitioning(p, cluster.Config{Localize: localize, Sequential: true})
+		c, err := cluster.NewFromPartitioning(p, cluster.Config{Broadcast: !localize, Sequential: true})
 		if err != nil {
 			return nil, err
 		}

@@ -36,8 +36,9 @@ const bindLimit = 64
 //     subquery's schema and rows (restricted to values that can join).
 //
 // The plan is not changed: which variable is bound, and to what, is
-// decided here from round-1 data under the caller's state read lock.
-func (c *Cluster) evalSubs(ctx context.Context, p *Plan, tr *obs.Trace, stats *Stats) ([]*store.Table, error) {
+// decided here from round-1 data under the caller's state read lock, which
+// each round's site calls release and re-validate (siteCall).
+func (c *Cluster) evalSubs(ctx context.Context, rs *readState, p *Plan, tr *obs.Trace, stats *Stats) ([]*store.Table, error) {
 	var anchored []int
 	if !p.Independent {
 		for si, sub := range p.Subs {
@@ -47,7 +48,7 @@ func (c *Cluster) evalSubs(ctx context.Context, p *Plan, tr *obs.Trace, stats *S
 		}
 	}
 	if len(anchored) == 0 || len(anchored) == len(p.Subs) {
-		return c.evalRound(ctx, "local", p.Subs, p.SitesPerSub, p.Anchors, tr, stats)
+		return c.evalRound(ctx, rs, "local", p.Subs, p.SitesPerSub, p.Anchors, tr, stats)
 	}
 
 	// Round 1: the anchored subqueries.
@@ -57,7 +58,7 @@ func (c *Cluster) evalSubs(ctx context.Context, p *Plan, tr *obs.Trace, stats *S
 	for i, si := range anchored {
 		subs[i], sites[i], anchors[i] = p.Subs[si], p.SitesPerSub[si], p.anchor(si)
 	}
-	first, err := c.evalRound(ctx, "local", subs, sites, anchors, tr, stats)
+	first, err := c.evalRound(ctx, rs, "local", subs, sites, anchors, tr, stats)
 	if err != nil {
 		return nil, err
 	}
@@ -106,14 +107,18 @@ func (c *Cluster) evalSubs(ctx context.Context, p *Plan, tr *obs.Trace, stats *S
 		if anchor == v {
 			anchor = ""
 		}
+		var a sparql.Analysis
+		if c.crossing != nil {
+			a = sparql.Analyze(sub, c.crossing)
+		}
 		for _, val := range vals {
-			inst := instantiate(sub, v, g.Vertices.String(val))
-			subs = append(subs, inst)
-			sites = append(sites, c.narrowSites(inst, p.SitesPerSub[si]))
+			name := g.Vertices.String(val)
+			subs = append(subs, instantiate(sub, v, name))
+			sites = append(sites, c.narrowSites(a, v, name, p.SitesPerSub[si]))
 			anchors = append(anchors, anchor)
 		}
 	}
-	second, err := c.evalRound(ctx, "bind", subs, sites, anchors, tr, stats)
+	second, err := c.evalRound(ctx, rs, "bind", subs, sites, anchors, tr, stats)
 	if err != nil {
 		return nil, err
 	}
@@ -132,10 +137,10 @@ func (c *Cluster) evalSubs(ctx context.Context, p *Plan, tr *obs.Trace, stats *S
 
 // evalRound is one batched fan-out of evalPerSub, timed into stats under
 // a trace span of the given name.
-func (c *Cluster) evalRound(ctx context.Context, name string, subs []*sparql.Query, sites [][]int, anchors []string, tr *obs.Trace, stats *Stats) ([]*store.Table, error) {
+func (c *Cluster) evalRound(ctx context.Context, rs *readState, name string, subs []*sparql.Query, sites [][]int, anchors []string, tr *obs.Trace, stats *Stats) ([]*store.Table, error) {
 	t0 := time.Now()
 	sp := tr.Root().Child(name)
-	tables, wire, err := c.evalPerSub(ctx, subs, sites, anchors, sp)
+	tables, wire, err := c.evalPerSub(ctx, rs, subs, sites, anchors, sp)
 	sp.End()
 	if err != nil {
 		return nil, err
@@ -284,15 +289,18 @@ func instantiate(sub *sparql.Query, v, value string) *sparql.Query {
 	return inst
 }
 
-// narrowSites is where one instance of a plan subquery runs: the sites its
-// own localization proof (Theorems 3/4) allows, within the subquery's plan
-// sites. The list only ever shrinks, so an edge-disjoint (VP) or
-// unlocalizable instance keeps its subquery's sites.
-func (c *Cluster) narrowSites(inst *sparql.Query, planSites []int) []int {
+// narrowSites is where one instance of a plan subquery runs, the
+// subquery's variable v bound to value: the sites its own localization
+// proof (Theorems 3/4) allows, within the subquery's plan sites. a is the
+// subquery's analysis, bound per instance without a new pass
+// (sparql.Analysis.Bind). The list only ever shrinks, so an edge-disjoint
+// (VP) or unlocalizable instance keeps its subquery's sites.
+func (c *Cluster) narrowSites(a sparql.Analysis, v, value string, planSites []int) []int {
 	if c.crossing == nil {
 		return planSites
 	}
-	home := c.localizeSites(inst)
+	bound := a.Bind(v, value)
+	home := c.localizeSites(&bound)
 	out := make([]int, 0, len(home))
 	for _, s := range planSites {
 		if slices.Contains(home, s) {

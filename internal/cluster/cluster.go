@@ -187,13 +187,13 @@ type Config struct {
 	// the tuples shipped to the coordinator. A run-time optimization, as
 	// the paper notes — orthogonal to the partitioning itself.
 	Semijoin bool
-	// Localize skips sites that provably cannot contribute matches of an
-	// IEQ (sub)query: when a constant is guaranteed to match an internal
-	// vertex (Theorems 3/4), only its home partition is evaluated. This is
-	// the query-localization the paper leaves as future work; off by
-	// default to mirror the paper's execution model. Crossing-aware mode
-	// only.
-	Localize bool
+	// Broadcast sends every (sub)query to every site: the paper's
+	// execution model, for ablation A7 only. By default a crossing-aware
+	// plan localizes: when a constant of an IEQ (sub)query is guaranteed
+	// to match an internal vertex (Theorems 3/4), only its home partition
+	// is evaluated — the query localization the paper leaves as future
+	// work.
+	Broadcast bool
 	// Obs receives per-stage metrics (counters, latency histograms) and
 	// per-query span traces when non-nil. Nil disables all instrumentation
 	// at near-zero cost and leaves results bit-identical; see internal/obs.
@@ -236,13 +236,15 @@ type Cluster struct {
 	// (ApplyMigration). Holding commitMu WITHOUT stateMu lets expensive
 	// pre-commit work — dictionary resolution of an update batch, the
 	// migration diff and its pre-shipping phase — proceed while readers
-	// keep planning and executing under stateMu.RLock; only the moment
-	// that must be atomic with respect to readers is taken under
-	// stateMu.Lock.
+	// keep planning and executing; only the moment that must be atomic
+	// with respect to readers is taken under stateMu.Lock.
 	commitMu sync.Mutex
-	// stateMu serializes committed updates (writers) against query
-	// planning and execution (readers). Updates are rare relative to
-	// queries; queries proceed concurrently under the read lock.
+	// stateMu serializes committed updates (writers) against every read
+	// of coordinator state: planning, localization, anchored merges, the
+	// graph. A reader does not hold it across site calls: siteCall
+	// releases it for the call, re-takes it and checks version, and an
+	// execution that saw a commit land is rerun (readAttempts; DESIGN.md
+	// §11). Only a read's last attempt keeps it through its calls.
 	stateMu sync.RWMutex
 	// version increments per committed update batch; plans record the
 	// version they were built at so ExecutePlan can replan stale ones.
@@ -460,13 +462,14 @@ func (c *Cluster) allSites() []int {
 	return s
 }
 
-// localizeSites returns the sites that can contribute matches of an IEQ
-// subquery: when a localizable constant exists (sparql.LocalizableTerms),
+// localizeSites returns the sites that can contribute matches of an
+// analyzed IEQ subquery: when a localizable constant exists
+// (sparql.Analysis.LocalizableTerms),
 // only its home partition; an unknown constant or conflicting homes prove
 // the subquery empty (nil result). Without localizable constants, all
 // sites.
-func (c *Cluster) localizeSites(sub *sparql.Query) []int {
-	terms := sparql.LocalizableTerms(sub, c.crossing)
+func (c *Cluster) localizeSites(a *sparql.Analysis) []int {
+	terms := a.LocalizableTerms()
 	if len(terms) == 0 {
 		return c.allSites()
 	}
@@ -492,7 +495,8 @@ func (c *Cluster) localizeSites(sub *sparql.Query) []int {
 }
 
 // evalPerSub evaluates each subquery over its own site list (in parallel
-// unless Sequential) and merges each subquery's per-site tables
+// unless Sequential), with stateMu released for the calls unless rs is
+// pinned (siteCall), and merges each subquery's per-site tables
 // (mergeSites). An empty site list yields an empty table with the
 // subquery's schema. It serves both the vertex-disjoint path (one site
 // list shared by all subqueries, or localized lists) and the VP path
@@ -504,7 +508,7 @@ func (c *Cluster) localizeSites(sub *sparql.Query) []int {
 // The (subquery, site) fan-out is grouped by site: all the subqueries of
 // the plan that land on one site travel as one ExecuteSubBatch exchange —
 // one frame each way instead of one round trip per subquery.
-func (c *Cluster) evalPerSub(ctx context.Context, subs []*sparql.Query, sitesPerSub [][]int, anchors []string, parent *obs.Span) ([]*store.Table, SubStats, error) {
+func (c *Cluster) evalPerSub(ctx context.Context, rs *readState, subs []*sparql.Query, sitesPerSub [][]int, anchors []string, parent *obs.Span) ([]*store.Table, SubStats, error) {
 	type key struct{ sub, site int }
 	results := make(map[key]*store.Table)
 	var wire SubStats
@@ -542,18 +546,22 @@ func (c *Cluster) evalPerSub(ctx context.Context, subs []*sparql.Query, sitesPer
 			perSite[site] = append(perSite[site], si)
 		}
 	}
-	for site, sis := range perSite {
-		if len(sis) == 0 {
-			continue
+	if err := c.siteCall(rs, func() {
+		for site, sis := range perSite {
+			if len(sis) == 0 {
+				continue
+			}
+			wg.Add(1)
+			if c.cfg.Sequential {
+				run(site, sis)
+			} else {
+				go run(site, sis)
+			}
 		}
-		wg.Add(1)
-		if c.cfg.Sequential {
-			run(site, sis)
-		} else {
-			go run(site, sis)
-		}
+		wg.Wait()
+	}); err != nil {
+		return nil, wire, err
 	}
-	wg.Wait()
 	if firstErr != nil {
 		return nil, wire, firstErr
 	}

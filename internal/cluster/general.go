@@ -25,15 +25,18 @@ import (
 type genExec struct {
 	c     *Cluster
 	ctx   context.Context
+	rs    *readState
 	tr    *obs.Trace
 	stats *Stats
 }
 
 // runGeneral evaluates a generalized query's operator tree. The caller
-// holds stateMu.RLock (ExecutePlan), so every leaf plan built here sees the
-// same cluster state. The result carries full bindings; the caller projects.
-func (c *Cluster) runGeneral(ctx context.Context, q *sparql.Query, tr *obs.Trace, stats *Stats) (*store.Table, error) {
-	ge := &genExec{c: c, ctx: ctx, tr: tr, stats: stats}
+// holds stateMu.RLock (ExecutePlan), which site calls release and
+// re-validate against rs's version (siteCall), so every leaf plan built
+// here sees the same cluster state. The result carries full bindings; the
+// caller projects.
+func (c *Cluster) runGeneral(ctx context.Context, rs *readState, q *sparql.Query, tr *obs.Trace, stats *Stats) (*store.Table, error) {
+	ge := &genExec{c: c, ctx: ctx, rs: rs, tr: tr, stats: stats}
 	tab, err := ge.eval(q.Where)
 	if err != nil {
 		return nil, err
@@ -147,7 +150,7 @@ func (ge *genExec) evalBGPLeaf(bg *sparql.BGP, conjs []sparql.Expr) (*store.Tabl
 	ge.stats.NumSubqueries += len(p.Subs)
 	ge.stats.DecompTime += p.DecompTime
 	post := attachFilters(p.Subs, conjs)
-	tab, err := ge.c.runBGPPlan(ge.ctx, p, ge.tr, ge.stats)
+	tab, err := ge.c.runBGPPlan(ge.ctx, ge.rs, p, ge.tr, ge.stats)
 	if err != nil {
 		return nil, err
 	}
@@ -437,12 +440,18 @@ func (ge *genExec) evalPathNode(pp *sparql.PathPattern) (*store.Table, error) {
 		allInternal(pp.Path.Properties(), c.crossing) {
 		t0 := time.Now()
 		tabs := make([]*store.Table, len(c.stores))
-		for i, st := range c.stores {
-			tab, err := st.MatchPath(pp, 0)
-			if err != nil {
-				return nil, err
+		var err error
+		if stale := c.siteCall(ge.rs, func() {
+			for i, st := range c.stores {
+				if tabs[i], err = st.MatchPath(pp, 0); err != nil {
+					return
+				}
 			}
-			tabs[i] = tab
+		}); stale != nil {
+			return nil, stale
+		}
+		if err != nil {
+			return nil, err
 		}
 		ge.stats.LocalTime += time.Since(t0)
 		return unionTables(tabs)
@@ -778,7 +787,7 @@ func (e *distPath) expand(vs []uint32, props []string, fwd bool) ([]uint32, erro
 	sp := e.ge.tr.Root().Child("path_frontier")
 	sp.SetAttr("subqueries", int64(len(subs)))
 	t0 := time.Now()
-	tables, wire, err := e.ge.c.evalPerSub(e.ge.ctx, subs, sites, anchors, sp)
+	tables, wire, err := e.ge.c.evalPerSub(e.ge.ctx, e.ge.rs, subs, sites, anchors, sp)
 	sp.End()
 	if err != nil {
 		return nil, err

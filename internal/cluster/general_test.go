@@ -243,11 +243,11 @@ func TestGeneralizedSemijoinAndLocalize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := NewFromPartitioning(p, Config{})
+	plain, err := NewFromPartitioning(p, Config{Broadcast: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tuned, err := NewFromPartitioning(p, Config{Semijoin: true, Localize: true})
+	tuned, err := NewFromPartitioning(p, Config{Semijoin: true})
 	if err != nil {
 		t.Fatal(err)
 	}

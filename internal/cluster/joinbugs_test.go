@@ -76,7 +76,7 @@ func TestEmptyTableJoinsAgainstPropertyBinding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tables, _, err := c.evalPerSub(context.Background(), []*sparql.Query{q}, [][]int{nil}, nil, nil)
+	tables, _, err := c.evalPerSub(context.Background(), &readState{pinned: true}, []*sparql.Query{q}, [][]int{nil}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

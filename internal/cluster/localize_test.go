@@ -21,11 +21,11 @@ func TestLocalizeCorrectOnLUBM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	broadcast, err := NewFromPartitioning(p, Config{})
+	broadcast, err := NewFromPartitioning(p, Config{Broadcast: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	localized, err := NewFromPartitioning(p, Config{Localize: true})
+	localized, err := NewFromPartitioning(p, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestLocalizeEqualsCentralized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := NewFromPartitioning(p, Config{Localize: true})
+		c, err := NewFromPartitioning(p, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,14 +89,17 @@ func TestLocalizeSites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewFromPartitioning(p, Config{Localize: true})
+	c, err := NewFromPartitioning(p, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	localizeSites := func(q *sparql.Query) []int {
+		a := sparql.Analyze(q, c.crossing)
+		return c.localizeSites(&a)
+	}
 	// Internal IEQ anchored at film1: only film1's home should be probed.
 	q := sparql.MustParse(`SELECT * WHERE { <film1> <starring> ?a . ?a <spouse> ?b }`)
-	sub := q
-	sites := c.localizeSites(sub)
+	sites := localizeSites(q)
 	if len(sites) != 1 {
 		t.Fatalf("sites = %v, want exactly one", sites)
 	}
@@ -106,12 +109,12 @@ func TestLocalizeSites(t *testing.T) {
 	}
 	// Unknown constant: provably empty.
 	q2 := sparql.MustParse(`SELECT * WHERE { <ghost> <starring> ?a }`)
-	if sites := c.localizeSites(q2); sites != nil {
+	if sites := localizeSites(q2); sites != nil {
 		t.Fatalf("sites = %v, want nil for unknown constant", sites)
 	}
 	// No constants: all sites.
 	q3 := sparql.MustParse(`SELECT * WHERE { ?f <starring> ?a }`)
-	if sites := c.localizeSites(q3); len(sites) != c.NumSites() {
+	if sites := localizeSites(q3); len(sites) != c.NumSites() {
 		t.Fatalf("sites = %v, want all", sites)
 	}
 	// Execution of the provably-empty query returns no rows.

@@ -17,6 +17,7 @@ type clusterMetrics struct {
 	bytesShipped    *obs.Counter // net.bytes_shipped: measured wire bytes (transport mode)
 	semijoinRemoved *obs.Counter // semijoin.rows_removed: rows cut by the reduction
 	hashJoins       *obs.Counter // join.hash_joins: pairwise joins performed
+	readRetries     *obs.Counter // cluster.read_retries: executions rerun after a commit landed mid-call
 
 	decompNS *obs.Histogram // query.decompose_ns (QDT)
 	localNS  *obs.Histogram // query.local_ns (LET)
@@ -51,6 +52,7 @@ func newClusterMetrics(r *obs.Registry) clusterMetrics {
 		bytesShipped:    r.Counter("net.bytes_shipped"),
 		semijoinRemoved: r.Counter("semijoin.rows_removed"),
 		hashJoins:       r.Counter("join.hash_joins"),
+		readRetries:     r.Counter("cluster.read_retries"),
 		decompNS:        r.Histogram("query.decompose_ns"),
 		localNS:         r.Histogram("query.local_ns"),
 		joinNS:          r.Histogram("query.join_ns"),

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"time"
 
 	"mpc/internal/obs"
@@ -35,9 +36,9 @@ type Plan struct {
 	// site visit.
 	SitesPerSub [][]int
 	// Anchors names, per subquery, the variable whose binding's home site
-	// holds every match of the subquery (sparql.Anchor), or "" when there
-	// is none: non-IEQ pieces, edge-disjoint layouts, cores of constants
-	// only. A fan-out to every site keeps from each site only the rows
+	// holds every match of the subquery (sparql.Analysis.Anchor), or ""
+	// when there is none: non-IEQ pieces, edge-disjoint layouts, cores of
+	// constants only. A fan-out to every site keeps from each site only the rows
 	// whose anchor binding it owns, so the per-site answers concatenate
 	// without a hash union (DESIGN.md §8). Nil when no subquery has one.
 	Anchors []string
@@ -129,21 +130,22 @@ func (c *Cluster) planBGP(q *sparql.Query) *Plan {
 	case ModeStarOnly:
 		// Every edge counts as crossing here, so a star's anchor is its
 		// centre: Definition 3.3 puts every edge incident to the centre's
-		// binding at that vertex's home site.
-		return c.planVertexDisjoint(q, sparql.ClassifyPlain(q), sparql.DecomposeStars, sparql.AllCrossing)
+		// binding at that vertex's home site. The star-only baselines run
+		// each (sub)query at every site.
+		return c.planVertexDisjoint(q, sparql.ClassifyPlain(q), nil, sparql.DecomposeStars, sparql.AllCrossing, false)
 	}
-	class := sparql.Classify(q, c.crossing)
+	a := sparql.Analyze(q, c.crossing)
 	decomp := func(q *sparql.Query) []*sparql.Query {
-		return sparql.Decompose(q, c.crossing)
+		return sparql.DecomposeNonIEQ(q, c.crossing)
 	}
-	if len(q.Patterns) > 1 && !q.IsWeaklyConnected() {
+	if len(q.Patterns) > 1 && !a.Connected() {
 		// Classification (Definitions 5.1–5.3) assumes a weakly connected
 		// query; on a disconnected one it can report an IEQ class whose
 		// per-site union misses matches that combine components matched at
 		// different sites. Classify and decompose each component instead,
 		// and let the coordinator join (Cartesian across components,
 		// filtered by any shared property variable).
-		class = sparql.ClassNonIEQ
+		a.Class = sparql.ClassNonIEQ
 		decomp = func(q *sparql.Query) []*sparql.Query {
 			var subs []*sparql.Query
 			for _, comp := range q.ConnectedComponents() {
@@ -152,7 +154,7 @@ func (c *Cluster) planBGP(q *sparql.Query) *Plan {
 			return subs
 		}
 	}
-	return c.planVertexDisjoint(q, class, decomp, c.crossing)
+	return c.planVertexDisjoint(q, a.Class, &a, decomp, c.crossing, !c.cfg.Broadcast)
 }
 
 // singleBGP reports whether q's operator tree is one group holding one BGP
@@ -202,13 +204,13 @@ func attachFilters(subs []*sparql.Query, conjs []sparql.Expr) []sparql.Expr {
 }
 
 // planVertexDisjoint is the common planner for all vertex-disjoint layouts:
-// IEQs run whole at every site (union of complete per-site answers);
-// non-IEQs are decomposed and each subquery is evaluated over every site
-// (or only the localized sites when Config.Localize applies). Each
-// subquery's anchor is computed under anchorOn, the crossing test its
-// class was judged by.
-func (c *Cluster) planVertexDisjoint(q *sparql.Query, class sparql.Class,
-	decompose func(*sparql.Query) []*sparql.Query, anchorOn sparql.CrossingTest) *Plan {
+// IEQs run whole, non-IEQs are decomposed, and each (sub)query goes to
+// every site, or with localize only to the sites its localization proof
+// allows (localizeSites). Each subquery is analyzed once, under anchorOn,
+// the crossing test its class was judged by; qa, when non-nil, is q's own
+// analysis under it, which an IEQ plan reuses for its one subquery.
+func (c *Cluster) planVertexDisjoint(q *sparql.Query, class sparql.Class, qa *sparql.Analysis,
+	decompose func(*sparql.Query) []*sparql.Query, anchorOn sparql.CrossingTest, localize bool) *Plan {
 
 	p := &Plan{Class: class}
 	if class.IsIEQ() {
@@ -216,28 +218,76 @@ func (c *Cluster) planVertexDisjoint(q *sparql.Query, class sparql.Class,
 		p.Independent = true
 	} else {
 		p.Subs = decompose(q)
+		qa = nil
 	}
 	p.SitesPerSub = make([][]int, len(p.Subs))
 	_, owned := c.layout.(*partition.Partitioning)
 	for si, sub := range p.Subs {
-		if c.cfg.Localize && c.crossing != nil {
+		if !localize && !owned {
+			p.SitesPerSub[si] = c.allSites()
+			continue
+		}
+		a := qa
+		if a == nil {
+			an := sparql.Analyze(sub, anchorOn)
+			a = &an
+		}
+		if localize {
 			// Empty means a localizable constant proves the subquery empty
 			// (missing term, or constants pinned to different partitions).
-			p.SitesPerSub[si] = c.localizeSites(sub)
+			p.SitesPerSub[si] = c.localizeSites(a)
 		} else {
 			p.SitesPerSub[si] = c.allSites()
 		}
 		if !owned {
 			continue
 		}
-		if a := sparql.Anchor(sub, anchorOn); a != "" {
+		if v := a.Anchor(); v != "" {
 			if p.Anchors == nil {
 				p.Anchors = make([]string, len(p.Subs))
 			}
-			p.Anchors[si] = a
+			p.Anchors[si] = v
 		}
 	}
 	return p
+}
+
+// readAttempts bounds the executions of one read. Every attempt but the
+// last releases stateMu around its site calls; the last keeps it through
+// them, so a read that lost every race still completes, and a writer waits
+// behind one long read only after that read has lost readAttempts-1 races.
+const readAttempts = 3
+
+// readState is one execution attempt's side of the read protocol: the state
+// version the attempt started at, and whether it keeps stateMu through its
+// site calls. It is passed down explicitly to every site call the attempt
+// makes.
+type readState struct {
+	version uint64
+	pinned  bool
+}
+
+// errStale abandons an attempt: a commit landed while one of its site calls
+// ran with stateMu released, so its answer could mix two states.
+var errStale = errors.New("cluster: state changed during a site call")
+
+// siteCall runs call, which makes site calls and reads no coordinator
+// state, with stateMu released unless rs is pinned. The caller holds
+// stateMu.RLock and holds it again on return. It returns errStale when the
+// state version moved meanwhile; the caller then abandons the attempt
+// before reading any coordinator state with results of the call.
+func (c *Cluster) siteCall(rs *readState, call func()) error {
+	if rs.pinned {
+		call()
+		return nil
+	}
+	c.stateMu.RUnlock()
+	call()
+	c.stateMu.RLock()
+	if c.version != rs.version {
+		return errStale
+	}
+	return nil
 }
 
 // ExecutePlan runs a previously built plan under ctx and returns the
@@ -246,16 +296,33 @@ func (c *Cluster) planVertexDisjoint(q *sparql.Query, class sparql.Class,
 // built before a committed update is stale — its classification or site
 // lists may no longer hold — so ExecutePlan detects the version mismatch
 // and replans the query first; the caller's Plan value is never mutated.
-// Execution holds the cluster state read lock, so a query sees one
-// consistent state end to end and never interleaves with a writer.
+//
+// Every read of coordinator state happens under stateMu.RLock, but site
+// calls run with it released (siteCall). An attempt during whose calls a
+// commit landed is abandoned and rerun from a fresh plan, so the answer is
+// exactly the state before or after any concurrent commit. The last of
+// readAttempts keeps the lock through its calls and cannot lose.
 func (c *Cluster) ExecutePlan(ctx context.Context, p *Plan) (*Result, error) {
 	c.stateMu.RLock()
 	defer c.stateMu.RUnlock()
-	if p.version != c.version {
-		p = c.planLocked(p.Query)
-	}
 	tr := c.cfg.Obs.StartTrace("query")
 	defer tr.Finish()
+	for attempt := 1; ; attempt++ {
+		rs := readState{version: c.version, pinned: attempt == readAttempts}
+		if p.version != c.version {
+			p = c.planLocked(p.Query)
+		}
+		res, err := c.executeAttempt(ctx, &rs, p, tr)
+		if !errors.Is(err, errStale) {
+			return res, err
+		}
+		c.met.readRetries.Inc()
+	}
+}
+
+// executeAttempt is one attempt of ExecutePlan; the caller holds
+// stateMu.RLock.
+func (c *Cluster) executeAttempt(ctx context.Context, rs *readState, p *Plan, tr *obs.Trace) (*Result, error) {
 	sp := tr.Root().Child("decompose")
 	sp.SetAttr("subqueries", int64(len(p.Subs)))
 	sp.End()
@@ -270,9 +337,9 @@ func (c *Cluster) ExecutePlan(ctx context.Context, p *Plan) (*Result, error) {
 	var final *store.Table
 	var err error
 	if p.general {
-		final, err = c.runGeneral(ctx, p.Query, tr, &stats)
+		final, err = c.runGeneral(ctx, rs, p.Query, tr, &stats)
 	} else {
-		final, err = c.runBGPPlan(ctx, p, tr, &stats)
+		final, err = c.runBGPPlan(ctx, rs, p, tr, &stats)
 	}
 	if err != nil {
 		return nil, err
@@ -293,7 +360,7 @@ func (c *Cluster) ExecutePlan(ctx context.Context, p *Plan) (*Result, error) {
 // projects.
 // Stats fields are accumulated, not assigned, so the generalized evaluator
 // can run many BGP-leaf plans against one Stats value.
-func (c *Cluster) runBGPPlan(ctx context.Context, p *Plan, tr *obs.Trace, stats *Stats) (*store.Table, error) {
+func (c *Cluster) runBGPPlan(ctx context.Context, rs *readState, p *Plan, tr *obs.Trace, stats *Stats) (*store.Table, error) {
 	var final *store.Table
 	var sp *obs.Span
 	switch {
@@ -308,8 +375,16 @@ func (c *Cluster) runBGPPlan(ctx context.Context, p *Plan, tr *obs.Trace, stats 
 		// Whole query at one site; its answer is complete as-is.
 		t1 := time.Now()
 		sp = tr.Root().Child("local")
-		tab, ss, err := c.sites[p.SitesPerSub[0][0]].ExecuteSub(ctx, p.Subs[0], SubOpts{})
+		var tab *store.Table
+		var ss SubStats
+		var err error
+		stale := c.siteCall(rs, func() {
+			tab, ss, err = c.sites[p.SitesPerSub[0][0]].ExecuteSub(ctx, p.Subs[0], SubOpts{})
+		})
 		sp.End()
+		if stale != nil {
+			return nil, stale
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -319,7 +394,7 @@ func (c *Cluster) runBGPPlan(ctx context.Context, p *Plan, tr *obs.Trace, stats 
 		final = tab
 
 	default:
-		tables, err := c.evalSubs(ctx, p, tr, stats)
+		tables, err := c.evalSubs(ctx, rs, p, tr, stats)
 		if err != nil {
 			return nil, err
 		}

@@ -218,9 +218,19 @@ func TestVPApply(t *testing.T) {
 // Every read must return one of the states the writer actually committed
 // — never a torn mix.
 func TestConcurrentApplyAndExecute(t *testing.T) {
+	// A plain BGP, and a property path: while <starring> is internal, the
+	// in-process stores close the path directly (evalPathNode).
+	for _, qs := range []string{
+		`SELECT * WHERE { ?f <starring> ?a }`,
+		`SELECT * WHERE { ?f <starring>+ ?a }`,
+	} {
+		t.Run(qs, func(t *testing.T) { concurrentApplyAndExecute(t, sparql.MustParse(qs)) })
+	}
+}
+
+func concurrentApplyAndExecute(t *testing.T, q *sparql.Query) {
 	g := movieGraph()
 	c := mpcCluster(t, g, 2)
-	q := sparql.MustParse(`SELECT * WHERE { ?f <starring> ?a }`)
 
 	// The writer toggles one triple; readers may see the graph with or
 	// without it, so exactly two row counts are legal.

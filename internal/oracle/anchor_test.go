@@ -153,7 +153,7 @@ func TestSingleGroupPlansAsBGP(t *testing.T) {
 	checked := 0
 	for gi, gc := range graphs {
 		g := datagen.Random{V: gc.v, P: gc.p, Skew: gc.skew}.Generate(gc.triples, int64(300+gi))
-		env, err := NewEnv(g, Options{Localize: true, Block: true, TCP: gi == 0})
+		env, err := NewEnv(g, Options{Broadcast: true, Block: true, TCP: gi == 0})
 		if err != nil {
 			t.Fatalf("graph %d: %v", gi, err)
 		}

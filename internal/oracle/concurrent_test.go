@@ -29,7 +29,7 @@ func TestConcurrentMatchesSerial(t *testing.T) {
 	}
 	for gi, gc := range graphs {
 		g := datagen.Random{V: gc.v, P: gc.p, Skew: gc.skew}.Generate(gc.triples, int64(100+gi))
-		env, err := NewEnv(g, Options{TCP: true, Localize: true})
+		env, err := NewEnv(g, Options{TCP: true, Broadcast: true})
 		if err != nil {
 			t.Fatalf("graph %d: %v", gi, err)
 		}

@@ -32,10 +32,11 @@ type Options struct {
 	// TCP adds a loopback-TCP combination (MPC partitioning, crossing-aware
 	// mode over real transport sites). Close the Env to stop its servers.
 	TCP bool
-	// Localize additionally runs the crossing-aware MPC combination with
-	// query localization enabled (Config.Localize), exercising the
-	// empty-site-list join path.
-	Localize bool
+	// Broadcast additionally runs the crossing-aware MPC combination in the
+	// paper's execution model (Config.Broadcast: every (sub)query at every
+	// site), the other arm of ablation A7. Every other crossing-aware
+	// combination localizes.
+	Broadcast bool
 	// Block adds combinations whose sites serve mmap-backed v3 block
 	// snapshots instead of heap-resident flat stores: one in-process
 	// (MPC crossing-aware over store.OpenSnapshot sites) and, when TCP is
@@ -150,9 +151,9 @@ func NewEnv(g *rdf.Graph, o Options) (*Env, error) {
 		return nil, fmt.Errorf("oracle: vp: %w", err)
 	}
 	e.combos = append(e.combos, combo{"vp", vc, false})
-	if o.Localize {
-		if err := add("mpc/crossing-aware+localize", mpcP,
-			cluster.Config{Localize: true}, false); err != nil {
+	if o.Broadcast {
+		if err := add("mpc/crossing-aware+broadcast", mpcP,
+			cluster.Config{Broadcast: true}, false); err != nil {
 			return nil, err
 		}
 	}
@@ -222,7 +223,8 @@ func (e *Env) addBlockCombos(mpcP *partition.Partitioning) error {
 	for i, st := range stores {
 		sites[i] = cluster.SiteForStore(st)
 	}
-	bc, err := cluster.NewWithSites(mpcP.Clone(), e.crossing, cluster.Config{}, sites)
+	bp := mpcP.Clone()
+	bc, err := cluster.NewWithSites(bp, crossingTest(bp), cluster.Config{}, sites)
 	if err != nil {
 		return fmt.Errorf("oracle: block cluster: %w", err)
 	}
@@ -269,9 +271,11 @@ func (e *Env) ApplyBatch(ctx context.Context, ops []rdf.Op) (rdf.ApplyStats, err
 // and live-migrates every vertex-disjoint combination to it — the oracle's
 // analogue of a repartitioner run. The reference partitionings (e.MPC,
 // e.Hash) swap to the same assignment via the partition-level plan so the
-// invariant checks and the shared crossing test (which closes over e.MPC
-// and feeds the TCP and block combos) stay in lockstep with the clusters.
-// The "vp" combo is edge-disjoint and keeps its layout.
+// invariant checks and the reference decomposition (e.crossing closes over
+// e.MPC) stay in lockstep with the clusters. Every cluster's crossing test
+// closes over its own layout clone, which only that cluster's commits
+// mutate, under its own state lock. The "vp" combo is edge-disjoint and
+// keeps its layout.
 //
 // The recompute runs outside the environment lock, mirroring the real
 // repartitioner: a concurrent ApplyBatch may land between the snapshot and
@@ -332,7 +336,7 @@ func (e *Env) tcpCluster(p *partition.Partitioning, stores []*store.Store) (*clu
 	if err := transport.Verify(clients, p); err != nil {
 		return nil, fmt.Errorf("oracle: %w", err)
 	}
-	return cluster.NewWithSites(p, e.crossing, cluster.Config{}, transport.Sites(clients))
+	return cluster.NewWithSites(p, crossingTest(p), cluster.Config{}, transport.Sites(clients))
 }
 
 // Close stops any loopback-TCP servers and clients the Env spawned.
@@ -428,6 +432,111 @@ func (e *Env) Check(q *sparql.Query) (CheckResult, error) {
 		res.Divergences = append(res.Divergences, e.checkInvariants(q, full)...)
 	}
 	return res, nil
+}
+
+// CheckConcurrent runs q through every combination, over and over, while
+// during runs — typically ApplyBatch or Migrate — and then checks each
+// answer against the oracle at the state before during and at the state
+// after it: a read that overlaps a commit must equal one or the other,
+// never a mix. Every combination has answered once before during starts.
+// It returns the number of reads made; answers matching neither state are
+// reported as divergences. Skipped reports an oracle over budget on either
+// state; during still runs, and its error is returned.
+func (e *Env) CheckConcurrent(q *sparql.Query, during func() error) (res CheckResult, reads int, err error) {
+	e.mu.Lock()
+	before, bErr := EvalQuery(e.G, q, e.Opts.RowLimit)
+	e.mu.Unlock()
+
+	type answer struct {
+		combo string
+		b     *Bindings
+	}
+	var mu sync.Mutex
+	var answers []answer // per combination, each answer that differs from its previous one
+	var execErr error
+	stop := make(chan struct{})
+	var started, wg sync.WaitGroup
+	for _, cb := range e.combos {
+		if cb.partial && (!q.IsBGP() || len(q.Patterns) > cluster.MaxPartialEvalEdges) {
+			continue
+		}
+		wg.Add(1)
+		started.Add(1)
+		go func(cb combo) {
+			defer wg.Done()
+			var last uint64
+			for n := 0; ; n++ {
+				var r *cluster.Result
+				var err error
+				if cb.partial {
+					r, err = cb.c.ExecutePartialEval(q)
+				} else {
+					r, err = cb.c.Execute(q)
+				}
+				mu.Lock()
+				reads++
+				if err != nil && execErr == nil {
+					execErr = fmt.Errorf("oracle: %s (concurrent): %w", cb.name, err)
+				}
+				if err == nil {
+					b := Canonicalize(r.Table)
+					if d := b.Digest(); n == 0 || d != last {
+						answers = append(answers, answer{cb.name, b})
+						last = d
+					}
+				}
+				mu.Unlock()
+				if n == 0 {
+					started.Done()
+				}
+				if err != nil {
+					return
+				}
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}(cb)
+	}
+	started.Wait()
+	err = during()
+	close(stop)
+	wg.Wait()
+	if err != nil {
+		return res, 0, err
+	}
+	if execErr != nil {
+		return res, 0, execErr
+	}
+
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	after, aErr := EvalQuery(e.G, q, e.Opts.RowLimit)
+	if bErr == ErrTooLarge || aErr == ErrTooLarge {
+		res.Skipped = true
+		return res, 0, nil
+	}
+	if bErr != nil {
+		return res, 0, bErr
+	}
+	if aErr != nil {
+		return res, 0, aErr
+	}
+	res.OracleRows = after.Len()
+	wantBefore, wantAfter := before.ProjectQuery(q), after.ProjectQuery(q)
+	for _, a := range answers {
+		dB := Diff(wantBefore, a.b, e.G)
+		if dB == nil {
+			continue
+		}
+		if dA := Diff(wantAfter, a.b, e.G); dA != nil {
+			res.Divergences = append(res.Divergences,
+				fmt.Sprintf("%s: concurrent read matches neither state; vs before: %v; vs after: %v", a.combo, dB, dA))
+		}
+	}
+	return res, reads, nil
 }
 
 // checkInvariants verifies the paper-level metamorphic properties of one

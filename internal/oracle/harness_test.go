@@ -108,7 +108,7 @@ func TestDifferentialCorpus(t *testing.T) {
 	}
 	for gi, gc := range graphs {
 		g := datagen.Random{V: gc.v, P: gc.p, Skew: gc.skew}.Generate(gc.triples, int64(100+gi))
-		env, err := NewEnv(g, Options{Localize: true, Block: true, TCP: gi < 2})
+		env, err := NewEnv(g, Options{Broadcast: true, Block: true, TCP: gi < 2})
 		if err != nil {
 			t.Fatalf("graph %d: %v", gi, err)
 		}
@@ -387,7 +387,7 @@ func TestDifferentialTCP(t *testing.T) {
 // through the oracle harness rather than through hand-built tables.
 func TestPR2JoinFixesPinned(t *testing.T) {
 	g := datagen.Random{V: 40, P: 5}.Generate(200, 42)
-	env, err := NewEnv(g, Options{Localize: true})
+	env, err := NewEnv(g, Options{Broadcast: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,6 +64,9 @@ func randomOps(rng *rand.Rand, g *rdf.Graph, n int, fresh *int) []rdf.Op {
 // one per stream deliberately races an update batch from a separate
 // goroutine. Queries after any of those must still match the oracle
 // bit-for-bit — the acceptance criterion for migration transparency.
+// Every batch and migration also runs beside readers on every combination
+// (Env.CheckConcurrent): each concurrent answer must equal the oracle at
+// the state before the commit or at the state after it.
 func TestDifferentialUpdateStream(t *testing.T) {
 	type streamConfig struct {
 		graph   int // index into graphConfigs
@@ -81,17 +84,34 @@ func TestDifferentialUpdateStream(t *testing.T) {
 		queriesPerBatch = 2
 	}
 
-	totalBatches, checked, skipped := 0, 0, 0
+	totalBatches, checked, skipped, concurrentReads := 0, 0, 0, 0
 	migrations, movedTotal := 0, 0
 	var totalStats rdf.ApplyStats
 	for si, sc := range streams {
 		gc := graphConfigs[sc.graph]
 		g := datagen.Random{V: gc.v, P: gc.p, Skew: gc.skew}.Generate(gc.triples, int64(100+sc.graph))
-		env, err := NewEnv(g, Options{TCP: sc.tcp, Localize: true, Block: true})
+		env, err := NewEnv(g, Options{TCP: sc.tcp, Broadcast: true, Block: true})
 		if err != nil {
 			t.Fatalf("stream %d: %v", si, err)
 		}
 		rng := rand.New(rand.NewSource(int64(7000 + si)))
+		// Concurrent-read queries draw from their own stream, so the batches
+		// and checked queries stay the same with or without them.
+		crng := rand.New(rand.NewSource(int64(7500 + si)))
+		// concurrently runs op — a batch, a migration, or both racing —
+		// while every combination re-reads one random query, and checks
+		// each read against the oracle before and after op.
+		concurrently := func(bi int, op func() error) {
+			cq := sparql.RandomBGP(crng, queryOptions(3))
+			res, reads, err := env.CheckConcurrent(cq, op)
+			if err != nil {
+				t.Fatalf("stream %d batch %d: %v", si, bi, err)
+			}
+			concurrentReads += reads
+			for _, d := range res.Divergences {
+				t.Errorf("stream %d batch %d concurrent query:\n%s\n%s", si, bi, cq, d)
+			}
+		}
 		fresh := 0
 		for bi := 0; bi < sc.batches; bi++ {
 			ops := randomOps(rng, g, 2+rng.Intn(6), &fresh)
@@ -105,16 +125,19 @@ func TestDifferentialUpdateStream(t *testing.T) {
 				var stats rdf.ApplyStats
 				var moved int
 				var bErr, mErr error
-				wg.Add(2)
-				go func() {
-					defer wg.Done()
-					stats, bErr = env.ApplyBatch(context.Background(), ops)
-				}()
-				go func() {
-					defer wg.Done()
-					moved, mErr = env.Migrate(context.Background(), int64(9000+100*si+bi))
-				}()
-				wg.Wait()
+				concurrently(bi, func() error {
+					wg.Add(2)
+					go func() {
+						defer wg.Done()
+						stats, bErr = env.ApplyBatch(context.Background(), ops)
+					}()
+					go func() {
+						defer wg.Done()
+						moved, mErr = env.Migrate(context.Background(), int64(9000+100*si+bi))
+					}()
+					wg.Wait()
+					return nil
+				})
 				if bErr != nil {
 					t.Fatalf("stream %d batch %d (racing migration): %v", si, bi, bErr)
 				}
@@ -125,16 +148,18 @@ func TestDifferentialUpdateStream(t *testing.T) {
 				migrations++
 				movedTotal += moved
 			} else {
-				stats, err := env.ApplyBatch(context.Background(), ops)
-				if err != nil {
-					t.Fatalf("stream %d batch %d: %v", si, bi, err)
-				}
+				var stats rdf.ApplyStats
+				concurrently(bi, func() (err error) {
+					stats, err = env.ApplyBatch(context.Background(), ops)
+					return err
+				})
 				totalStats.Add(stats)
 				if rng.Intn(5) == 0 {
-					moved, err := env.Migrate(context.Background(), int64(8000+100*si+bi))
-					if err != nil {
-						t.Fatalf("stream %d migration after batch %d: %v", si, bi, err)
-					}
+					var moved int
+					concurrently(bi, func() (err error) {
+						moved, err = env.Migrate(context.Background(), int64(8000+100*si+bi))
+						return err
+					})
 					migrations++
 					movedTotal += moved
 				}
@@ -162,8 +187,8 @@ func TestDifferentialUpdateStream(t *testing.T) {
 		}
 		env.Close()
 	}
-	t.Logf("committed %d batches (%d inserted, %d deleted, %d not-found), %d migrations (%d vertices moved), checked %d cases, skipped %d",
-		totalBatches, totalStats.Inserted, totalStats.Deleted, totalStats.NotFound, migrations, movedTotal, checked, skipped)
+	t.Logf("committed %d batches (%d inserted, %d deleted, %d not-found), %d migrations (%d vertices moved), checked %d cases, skipped %d, %d reads concurrent with a commit",
+		totalBatches, totalStats.Inserted, totalStats.Deleted, totalStats.NotFound, migrations, movedTotal, checked, skipped, concurrentReads)
 	if migrations < len(streams) {
 		t.Fatalf("only %d migrations across %d streams; each stream must migrate at least once", migrations, len(streams))
 	}

@@ -100,6 +100,10 @@ type Scheduler struct {
 	closed bool
 	tasks  chan task
 	wg     sync.WaitGroup
+
+	// beforePublish, when set (tests only), runs between an execution's
+	// return and the publish of its result into the cache.
+	beforePublish func()
 }
 
 // planEntry is one cached decomposition, verified by canonical string on
@@ -162,6 +166,9 @@ func (s *Scheduler) worker() {
 		epoch := s.cache.Epoch()
 		res, err := s.c.ExecutePlan(t.ctx, t.plan)
 		if err == nil {
+			if s.beforePublish != nil {
+				s.beforePublish()
+			}
 			s.cache.PutEpoch(t.q, res, epoch)
 		}
 		t.done <- taskResult{res: res, err: err}

@@ -2,74 +2,13 @@ package serve
 
 import (
 	"context"
+	"sync"
 	"testing"
 	"time"
 
-	"mpc/internal/cluster"
-	"mpc/internal/datagen"
-	"mpc/internal/partition"
 	"mpc/internal/qcache"
 	"mpc/internal/rdf"
-	"mpc/internal/sparql"
-	"mpc/internal/store"
 )
-
-// updatableBlockingSite parks ExecuteSub like blockingSite but also accepts
-// update batches, so tests can interleave a committed write with an
-// execution that is still reading pre-write data.
-type updatableBlockingSite struct {
-	st      *store.Store
-	entered chan struct{} // one token per ExecuteSub entry
-	release chan struct{}
-}
-
-func (s updatableBlockingSite) ExecuteSub(ctx context.Context, sub *sparql.Query, _ cluster.SubOpts) (*store.Table, cluster.SubStats, error) {
-	select {
-	case s.entered <- struct{}{}:
-	default:
-	}
-	select {
-	case <-s.release:
-	case <-ctx.Done():
-		return nil, cluster.SubStats{}, ctx.Err()
-	}
-	tab, err := s.st.Match(sub)
-	return tab, cluster.SubStats{}, err
-}
-
-func (s updatableBlockingSite) ApplyUpdate(ctx context.Context, batch cluster.UpdateBatch) (cluster.SiteUpdateResult, error) {
-	if err := ctx.Err(); err != nil {
-		return cluster.SiteUpdateResult{}, err
-	}
-	return cluster.SiteUpdateResult{Stats: s.st.ApplyResolved(batch.Ops)}, nil
-}
-
-// updatableClusters is testClusters with updatable blocking sites on the
-// slow twin and an entry-signal channel, for deterministic write/read
-// interleavings.
-func updatableClusters(t *testing.T) (fast, slow *cluster.Cluster, entered, release chan struct{}) {
-	t.Helper()
-	g := datagen.LUBM{}.Generate(3000, 1)
-	layout, err := (partition.SubjectHash{}).Partition(g, partition.Options{K: 2, Epsilon: 0.1, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, err = cluster.New(layout, nil, cluster.Config{Mode: cluster.ModeStarOnly})
-	if err != nil {
-		t.Fatal(err)
-	}
-	entered = make(chan struct{}, 16)
-	release = make(chan struct{})
-	sites := make([]cluster.Site, layout.NumSites())
-	for i := range sites {
-		sites[i] = updatableBlockingSite{st: store.New(g, layout.SiteTriples(i)), entered: entered, release: release}
-	}
-	slow, err = cluster.NewWithSites(layout, nil, cluster.Config{Mode: cluster.ModeStarOnly}, sites)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fast, slow, entered, release
-}
 
 // TestApplyInvalidatesCache is the serving layer's half of the tentpole
 // guarantee: once Apply returns, a previously cached answer is gone and the
@@ -131,13 +70,15 @@ func TestApplyInvalidatesCache(t *testing.T) {
 }
 
 // TestApplyFencesStaleExecution drives the stale-publish race the epoch
-// fence exists for: an execution that started before a write (and so read
-// pre-write data) finishes after the write committed. Its result must not
-// land in the cache — the next request has to recompute and see the write.
+// fence exists for: an execution validated its answer against the
+// pre-write state, and its worker publishes that answer only after a write
+// committed and Apply invalidated the cache. The answer itself is correct
+// — the read linearizes before the write — but it must not be resurrected
+// into the cache: the next request has to recompute and see the write.
 func TestApplyFencesStaleExecution(t *testing.T) {
-	fast, slow, entered, release := updatableClusters(t)
+	fast, _, _ := testClusters(t)
 	cache := qcache.New(qcache.Options{MaxBytes: 1 << 20})
-	s := New(slow, Options{Workers: 1, QueueDepth: 4, Cache: cache})
+	s := New(fast, Options{Workers: 1, QueueDepth: 4, Cache: cache})
 	defer s.Close()
 	ctx := context.Background()
 	q := testQuery(0)
@@ -148,7 +89,17 @@ func TestApplyFencesStaleExecution(t *testing.T) {
 	}
 	base := want.Table.Len()
 
-	// Start an execution and wait until it is parked inside a site read.
+	// Park the first execution between ExecutePlan's return and the
+	// worker's publish.
+	parked := make(chan struct{})
+	resume := make(chan struct{})
+	var once sync.Once
+	s.beforePublish = func() {
+		once.Do(func() {
+			close(parked)
+			<-resume
+		})
+	}
 	doDone := make(chan *Response, 1)
 	go func() {
 		resp, err := s.Do(ctx, q)
@@ -158,37 +109,40 @@ func TestApplyFencesStaleExecution(t *testing.T) {
 		doDone <- resp
 	}()
 	select {
-	case <-entered:
+	case <-parked:
 	case <-time.After(5 * time.Second):
-		t.Fatal("execution never reached a site")
+		t.Fatal("execution never finished")
 	}
 
-	// Commit a write. Apply serializes behind the in-flight execution's
-	// cluster read-lock, so release the sites and let the race between the
-	// worker's publish and Apply's invalidation play out.
+	// Commit a write while the validated answer waits to be published. The
+	// execution holds no cluster lock any more, so Apply completes.
 	applyDone := make(chan error, 1)
 	go func() {
 		_, err := s.Apply(ctx, []rdf.Op{{Insert: true,
 			S: "u:newstudent", P: "http://lubm.example.org/univ#advisor0", O: "u:newprof"}})
 		applyDone <- err
 	}()
-	time.Sleep(10 * time.Millisecond) // let Apply reach the cluster lock
-	close(release)
+	select {
+	case err := <-applyDone:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		close(resume)
+		t.Fatal("Apply waited for an execution that had already finished")
+	}
+	close(resume)
 
 	resp := <-doDone
-	if err := <-applyDone; err != nil {
-		t.Fatal(err)
-	}
 	if resp == nil {
-		t.Fatal("blocked Do failed")
+		t.Fatal("parked Do failed")
 	}
 	if got := resp.Result.Table.Len(); got != base {
 		t.Fatalf("pre-write execution returned %d rows, want %d", got, base)
 	}
 
-	// Do has returned, so the worker's PutEpoch has already run; whatever
-	// order it raced into against Invalidate, the stale answer must not be
-	// served now.
+	// Do has returned, so the worker's PutEpoch has already run, after
+	// Apply's Invalidate; the pre-write answer must not be served now.
 	after, err := s.Do(ctx, q)
 	if err != nil {
 		t.Fatal(err)

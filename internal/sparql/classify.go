@@ -58,54 +58,104 @@ func isCrossingEdge(tp TriplePattern, isCrossing CrossingTest) bool {
 // test, per Definitions 5.1–5.3. q is assumed weakly connected (Definition
 // 3.5); callers with disconnected queries should classify each component.
 func Classify(q *Query, isCrossing CrossingTest) Class {
-	class, _, _ := classifyCore(q, isCrossing, false)
-	return class
+	return Analyze(q, isCrossing).Class
 }
 
-// classifyCore is Classify that, when withCore is set, also returns the
-// keys, in vertex order, of every vertex of an IEQ that can stand for its
-// core: every vertex of an internal or Type-I query; the multi-vertex WCC
-// of a Type-II query; or, when every WCC is a singleton, each centre
-// touching all crossing edges (centres reports this last case). An
-// internal query of several WCCs is not weakly connected and has no core.
-func classifyCore(q *Query, isCrossing CrossingTest, withCore bool) (class Class, core []string, centres bool) {
-	idx, n := q.vertexIndex()
+// Analysis is the outcome of one pass over a query graph under a crossing
+// test: the class of Definitions 5.1–5.3, the query's weak connectivity,
+// and, for an IEQ, the vertices that can stand for its core. Classify,
+// LocalizableTerms and Anchor all derive from it, so a planner that needs
+// all three classifies a (sub)query once.
+type Analysis struct {
+	// Class is the query's executability class.
+	Class Class
+	// verts are the query-graph vertices (subject and object terms) in
+	// first-appearance order.
+	verts []Term
+	// core lists, in vertex order, every vertex of an IEQ that can stand
+	// for its core: every vertex of an internal or Type-I query; the
+	// multi-vertex WCC of a Type-II query; or, when every WCC is a
+	// singleton (centres), each centre touching all crossing edges. An
+	// internal query of several WCCs is not weakly connected and has none.
+	core    []Term
+	centres bool
+	// connected reports whether the whole query graph, crossing edges
+	// included, is weakly connected.
+	connected bool
+}
+
+// Analyze classifies q under isCrossing in one pass over its patterns.
+func Analyze(q *Query, isCrossing CrossingTest) Analysis {
+	var a Analysis
+	ends := make([]int32, 2*len(q.Patterns)) // per pattern: S, O vertex index
+	var byTerm map[Term]int32                // only for large queries
+	index := func(t Term) int32 {
+		if byTerm != nil {
+			if i, ok := byTerm[t]; ok {
+				return i
+			}
+		} else {
+			for i, v := range a.verts {
+				if v == t {
+					return int32(i)
+				}
+			}
+		}
+		i := int32(len(a.verts))
+		a.verts = append(a.verts, t)
+		if byTerm == nil && len(a.verts) > 32 {
+			// A linear scan stops paying past a few dozen vertices.
+			byTerm = make(map[Term]int32, 2*len(a.verts))
+			for j, v := range a.verts {
+				byTerm[v] = int32(j)
+			}
+		} else if byTerm != nil {
+			byTerm[t] = i
+		}
+		return i
+	}
+	for i, tp := range q.Patterns {
+		ends[2*i], ends[2*i+1] = index(tp.S), index(tp.O)
+	}
+	n := len(a.verts)
 	if n == 0 {
-		return ClassInternal, nil, false
+		a.connected = true
+		return a
 	}
-	// Union-find over non-crossing edges.
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
+	// Union-find over non-crossing edges; size doubles as the component
+	// sizes once every vertex is counted at its root.
+	parent := make([]int32, 2*n)
+	size := parent[n:]
+	for i := range parent[:n] {
+		parent[i] = int32(i)
 	}
-	var find func(int) int
-	find = func(x int) int {
+	find := func(x int32) int32 {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
 		}
 		return x
 	}
-	var crossing []TriplePattern
-	for _, tp := range q.Patterns {
-		if isCrossingEdge(tp, isCrossing) {
-			crossing = append(crossing, tp)
-			continue
-		}
-		a, b := find(idx[tp.S.Key()]), find(idx[tp.O.Key()])
-		if a != b {
-			parent[a] = b
+	union := func(x, y int32) {
+		if rx, ry := find(x), find(y); rx != ry {
+			parent[rx] = ry
 		}
 	}
-	// Component sizes.
-	size := make([]int, n)
-	for i := 0; i < n; i++ {
+	var crossing []int // pattern indices of crossing edges
+	for i, tp := range q.Patterns {
+		if isCrossingEdge(tp, isCrossing) {
+			crossing = append(crossing, i)
+			continue
+		}
+		union(ends[2*i], ends[2*i+1])
+	}
+	for i := int32(0); i < int32(n); i++ {
 		size[find(i)]++
 	}
 	// Count WCCs and multi-vertex WCCs.
 	numWCC, numMulti := 0, 0
-	multiRoot := -1
-	for i := 0; i < n; i++ {
+	multiRoot := int32(-1)
+	for i := int32(0); i < int32(n); i++ {
 		if find(i) == i {
 			numWCC++
 			if size[i] > 1 {
@@ -114,58 +164,93 @@ func classifyCore(q *Query, isCrossing CrossingTest, withCore bool) (class Class
 			}
 		}
 	}
-	var keys []string // vertex keys in vertex order
-	if withCore {
-		keys = make([]string, n)
-		for k, i := range idx {
-			keys[i] = k
-		}
-	}
+	a.Class = ClassNonIEQ
 	switch {
 	case numWCC == 1:
-		class = ClassTypeI
+		a.Class = ClassTypeI
 		if len(crossing) == 0 {
-			class = ClassInternal
+			a.Class = ClassInternal
 		}
-		return class, keys, false
+		a.core = a.verts
 	case len(crossing) == 0:
-		return ClassInternal, nil, false
+		a.Class = ClassInternal
 	case numMulti > 1:
-		return ClassNonIEQ, nil, false
 	case numMulti == 1:
 		// Every crossing edge must touch the single multi-vertex WCC.
-		for _, tp := range crossing {
-			if find(idx[tp.S.Key()]) != multiRoot && find(idx[tp.O.Key()]) != multiRoot {
-				return ClassNonIEQ, nil, false
-			}
-		}
-		for vi, key := range keys {
-			if find(vi) == multiRoot {
-				core = append(core, key)
-			}
-		}
-		return ClassTypeII, core, false
-	}
-	// All WCCs are singletons: Type-II iff some vertex q_i touches every
-	// crossing edge (then all other singletons are pairwise unconnected).
-	class = ClassNonIEQ
-	for center := 0; center < n; center++ {
-		ok := true
-		for _, tp := range crossing {
-			if idx[tp.S.Key()] != center && idx[tp.O.Key()] != center {
-				ok = false
+		touches := true
+		for _, pi := range crossing {
+			if find(ends[2*pi]) != multiRoot && find(ends[2*pi+1]) != multiRoot {
+				touches = false
 				break
 			}
 		}
-		if ok {
-			if !withCore {
-				return ClassTypeII, nil, false
+		if touches {
+			a.Class = ClassTypeII
+			for vi := range a.verts {
+				if find(int32(vi)) == multiRoot {
+					a.core = append(a.core, a.verts[vi])
+				}
 			}
-			class = ClassTypeII
-			core = append(core, keys[center])
+		}
+	default:
+		// All WCCs are singletons: Type-II iff some vertex q_i touches
+		// every crossing edge (then all other singletons are pairwise
+		// unconnected).
+		a.centres = true
+		for center := int32(0); center < int32(n); center++ {
+			ok := true
+			for _, pi := range crossing {
+				if ends[2*pi] != center && ends[2*pi+1] != center {
+					ok = false
+					break
+				}
+			}
+			if ok {
+				a.Class = ClassTypeII
+				a.core = append(a.core, a.verts[center])
+			}
 		}
 	}
-	return class, core, true
+	// Weak connectivity: add the crossing edges to the same forest.
+	if numWCC > 1 {
+		for _, pi := range crossing {
+			union(ends[2*pi], ends[2*pi+1])
+		}
+	}
+	root := find(0)
+	a.connected = true
+	for i := int32(1); i < int32(n); i++ {
+		if find(i) != root {
+			a.connected = false
+			break
+		}
+	}
+	return a
+}
+
+// Connected reports whether the analyzed query graph is weakly connected
+// (Definition 3.5). The empty query is.
+func (a Analysis) Connected() bool { return a.connected }
+
+// Bind returns the analysis of the query with variable v replaced by the
+// constant value everywhere, without a new pass. Every match of the bound
+// query is a match of the unbound one with v ↦ value, so the unbound
+// query's class and core still hold for it: the proofs of Theorems 3 and 4
+// place value wherever they placed v.
+func (a Analysis) Bind(v, value string) Analysis {
+	from, to := Var(v), Const(value)
+	swap := func(ts []Term) []Term {
+		out := make([]Term, len(ts))
+		for i, t := range ts {
+			if t == from {
+				t = to
+			}
+			out[i] = t
+		}
+		return out
+	}
+	a.verts, a.core = swap(a.verts), swap(a.core)
+	return a
 }
 
 // ClassifyPlain classifies a query for systems that only guarantee

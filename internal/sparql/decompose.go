@@ -26,6 +26,13 @@ func Decompose(q *Query, isCrossing CrossingTest) []*Query {
 	if Classify(q, isCrossing).IsIEQ() {
 		return []*Query{q}
 	}
+	return DecomposeNonIEQ(q, isCrossing)
+}
+
+// DecomposeNonIEQ is Decompose for a query its caller has already
+// classified as a non-IEQ under isCrossing: Algorithm 2 without a second
+// classification pass.
+func DecomposeNonIEQ(q *Query, isCrossing CrossingTest) []*Query {
 	idx, n := q.vertexIndex()
 
 	// Union-find over internal edges to identify the WCCs q'_i.

@@ -6,7 +6,7 @@ import (
 
 func TestLocalizableTermsInternal(t *testing.T) {
 	q := MustParse(`SELECT * WHERE { <u1> <p1> ?x . ?x <p2> <u2> }`)
-	terms := LocalizableTerms(q, crossingSet())
+	terms := Analyze(q, crossingSet()).LocalizableTerms()
 	if len(terms) != 2 {
 		t.Fatalf("terms = %v, want both constants", terms)
 	}
@@ -19,7 +19,7 @@ func TestLocalizableTermsTypeI(t *testing.T) {
 	if c := Classify(q, crossingSet("cross")); c != ClassTypeI {
 		t.Fatalf("class = %v", c)
 	}
-	terms := LocalizableTerms(q, crossingSet("cross"))
+	terms := Analyze(q, crossingSet("cross")).LocalizableTerms()
 	if len(terms) != 1 || terms[0].Value != "u" {
 		t.Fatalf("terms = %v, want [u]", terms)
 	}
@@ -33,7 +33,7 @@ func TestLocalizableTermsTypeIICore(t *testing.T) {
 	if c := Classify(q, crossingSet("cross")); c != ClassTypeII {
 		t.Fatalf("class = %v", c)
 	}
-	terms := LocalizableTerms(q, crossingSet("cross"))
+	terms := Analyze(q, crossingSet("cross")).LocalizableTerms()
 	if len(terms) != 1 || terms[0].Value != "u" {
 		t.Fatalf("terms = %v, want only the core constant u", terms)
 	}
@@ -46,7 +46,7 @@ func TestLocalizableTermsStarCenter(t *testing.T) {
 	if cl := Classify(q, crossingSet("cross")); cl != ClassTypeII {
 		t.Fatalf("class = %v", cl)
 	}
-	terms := LocalizableTerms(q, crossingSet("cross"))
+	terms := Analyze(q, crossingSet("cross")).LocalizableTerms()
 	if len(terms) != 1 || terms[0].Value != "c" {
 		t.Fatalf("terms = %v, want [c]", terms)
 	}
@@ -55,7 +55,7 @@ func TestLocalizableTermsStarCenter(t *testing.T) {
 func TestLocalizableTermsStarSatelliteConstant(t *testing.T) {
 	// Constant on the satellite side of a crossing star: not localizable.
 	q := MustParse(`SELECT * WHERE { ?c <cross> <leaf> . ?c <cross> ?b }`)
-	terms := LocalizableTerms(q, crossingSet("cross"))
+	terms := Analyze(q, crossingSet("cross")).LocalizableTerms()
 	if len(terms) != 0 {
 		t.Fatalf("terms = %v, want none (satellite constants bind replicas)", terms)
 	}
@@ -66,14 +66,14 @@ func TestLocalizableTermsNonIEQ(t *testing.T) {
 	if Classify(q, crossingSet("cross")) != ClassNonIEQ {
 		t.Fatal("fixture should be non-IEQ")
 	}
-	if terms := LocalizableTerms(q, crossingSet("cross")); terms != nil {
+	if terms := Analyze(q, crossingSet("cross")).LocalizableTerms(); terms != nil {
 		t.Fatalf("terms = %v, want nil for non-IEQ", terms)
 	}
 }
 
 func TestLocalizableTermsNoConstants(t *testing.T) {
 	q := MustParse(`SELECT * WHERE { ?x <p1> ?y . ?y <p2> ?z }`)
-	if terms := LocalizableTerms(q, crossingSet()); len(terms) != 0 {
+	if terms := Analyze(q, crossingSet()).LocalizableTerms(); len(terms) != 0 {
 		t.Fatalf("terms = %v, want none", terms)
 	}
 }
@@ -88,7 +88,7 @@ func TestLocalizableTermsSingleCrossingEdge(t *testing.T) {
 	} {
 		q := MustParse(qs)
 		for i := 0; i < 20; i++ {
-			terms := LocalizableTerms(q, crossingSet("cross"))
+			terms := Analyze(q, crossingSet("cross")).LocalizableTerms()
 			if len(terms) != 1 || terms[0].Value != "c" {
 				t.Fatalf("%s: terms = %v, want [c]", qs, terms)
 			}
@@ -116,7 +116,7 @@ func TestAnchor(t *testing.T) {
 		{`SELECT * WHERE { <a> ?p <b> }`, ""},
 	}
 	for _, tc := range cases {
-		if got := Anchor(MustParse(tc.query), crossingSet("cross")); got != tc.want {
+		if got := Analyze(MustParse(tc.query), crossingSet("cross")).Anchor(); got != tc.want {
 			t.Errorf("%s: anchor %q, want %q", tc.query, got, tc.want)
 		}
 	}

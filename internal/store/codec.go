@@ -101,6 +101,11 @@ func DecodeTable(data []byte) (*Table, int, error) {
 	if ncols > maxCodecCols {
 		return nil, 0, fmt.Errorf("store: table codec: %d columns exceeds limit %d", ncols, maxCodecCols)
 	}
+	// Every column takes at least two bytes (name length, kind): a count
+	// the bytes behind it cannot fill must not size the schema below.
+	if ncols > uint64(len(data)-pos)/2 {
+		return nil, 0, fmt.Errorf("store: table codec: %d columns in %d bytes", ncols, len(data)-pos)
+	}
 	t := &Table{}
 	if ncols > 0 {
 		t.Vars = make([]string, ncols)

@@ -5,19 +5,22 @@ import (
 	"encoding/binary"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"mpc/internal/cluster"
 	"mpc/internal/rdf"
 	"mpc/internal/sparql"
+	"mpc/internal/store"
 )
 
-// The site-side wire decoders read bytes straight off the network, so each
-// gets a fuzz target asserting three things on any input: no panic, an
-// allocation bounded by the input length (a count or a length prefix may
-// not size an allocation the bytes behind it cannot fill), and, for inputs
-// that decode, a stable round trip: encoding the decoded value and decoding
-// it again gives the same value. Seed corpora live under testdata/fuzz.
+// The wire decoders read bytes straight off the network — the site side
+// decodes requests, the coordinator side decodes replies — so each gets a
+// fuzz target asserting three things on any input: no panic, an allocation
+// bounded by the input length (a count or a length prefix may not size an
+// allocation the bytes behind it cannot fill), and, for inputs that
+// decode, a stable round trip: encoding the decoded value and decoding it
+// again gives the same value. Seed corpora live under testdata/fuzz.
 
 // decodeAllocSlack is the fixed allocation a decoder may make on any input
 // (error values, small headers) beyond decodeAllocPerByte per input byte.
@@ -130,6 +133,85 @@ func FuzzDecodeMigrateBatch(f *testing.F) {
 		}
 		if !reflect.DeepEqual(again, b) {
 			t.Fatalf("round trip: %+v, want %+v", again, b)
+		}
+	})
+}
+
+func FuzzDecodeTableBatch(f *testing.F) {
+	two := store.NewTable([]string{"s", "p"}, []store.VarKind{store.KindVertex, store.KindProperty})
+	two.AppendRow(3, 1)
+	two.AppendRow(7, 0)
+	zero := store.NewTable(nil, nil)
+	zero.ZeroWidthRows = 2
+	f.Add(AppendTableBatch(nil, []*store.Table{two, zero, store.NewTable([]string{"x"}, []store.VarKind{store.KindVertex})}))
+	f.Add(AppendTableBatch(nil, nil))
+	f.Add([]byte{1, 0xff, 0xff, 0xff, 0x07}) // a table length far above the bytes that follow
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var tabs []*store.Table
+		var err error
+		checkDecodeAlloc(t, data, allocated(func() { tabs, err = DecodeTableBatch(data) }))
+		if err != nil {
+			return
+		}
+		enc := AppendTableBatch(nil, tabs)
+		again, err := DecodeTableBatch(enc)
+		if err != nil {
+			t.Fatalf("re-decoding an encoded batch: %v", err)
+		}
+		if len(again) != len(tabs) {
+			t.Fatalf("round trip: %d tables, want %d", len(again), len(tabs))
+		}
+		for i := range tabs {
+			a, b := again[i], tabs[i]
+			if !slices.Equal(a.Vars, b.Vars) || !slices.Equal(a.Kinds, b.Kinds) || a.Len() != b.Len() || !slices.Equal(a.Data, b.Data) {
+				t.Fatalf("round trip of table %d: %v %v %d rows, want %v %v %d rows", i, a.Vars, a.Kinds, a.Len(), b.Vars, b.Kinds, b.Len())
+			}
+		}
+		if re := AppendTableBatch(nil, again); !bytes.Equal(re, enc) {
+			t.Fatalf("encoding is not stable across a round trip")
+		}
+	})
+}
+
+func FuzzDecodeSiteInfo(f *testing.F) {
+	f.Add(appendSiteInfo(nil, SiteInfo{Triples: 1200, Vertices: 310, Properties: 12}))
+	f.Add(appendSiteInfo(nil, SiteInfo{}))
+	f.Add([]byte{0x80, 0x80}) // a truncated uvarint
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var si SiteInfo
+		var err error
+		checkDecodeAlloc(t, data, allocated(func() { si, err = decodeSiteInfo(data) }))
+		if err != nil {
+			return
+		}
+		again, err := decodeSiteInfo(appendSiteInfo(nil, si))
+		if err != nil {
+			t.Fatalf("re-decoding an encoded ping reply: %v", err)
+		}
+		if again != si {
+			t.Fatalf("round trip: %+v, want %+v", again, si)
+		}
+	})
+}
+
+func FuzzDecodeErrorPayload(f *testing.F) {
+	f.Add(appendErrorPayload(nil, uint64(CodeBadRequest), "transport: bad query"))
+	f.Add(appendErrorPayload(nil, 0, ""))
+	// A message length whose int conversion is negative.
+	f.Add([]byte{1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 'x'})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var re *RemoteError
+		var err error
+		checkDecodeAlloc(t, data, allocated(func() { re, err = decodeErrorPayload(data) }))
+		if err != nil {
+			return
+		}
+		again, err := decodeErrorPayload(appendErrorPayload(nil, uint64(re.Code), re.Message))
+		if err != nil {
+			t.Fatalf("re-decoding an encoded error: %v", err)
+		}
+		if *again != *re {
+			t.Fatalf("round trip: %+v, want %+v", again, re)
 		}
 	})
 }

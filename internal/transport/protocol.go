@@ -717,7 +717,9 @@ func decodeErrorPayload(data []byte) (*RemoteError, error) {
 		return nil, fmt.Errorf("transport: error codec: truncated code")
 	}
 	msgLen, m := binary.Uvarint(data[n:])
-	if m <= 0 || n+m+int(msgLen) > len(data) {
+	// Compare in uint64: a length above MaxInt would turn negative as an
+	// int and pass a bounds check written in ints.
+	if m <= 0 || msgLen > uint64(len(data)-n-m) {
 		return nil, fmt.Errorf("transport: error codec: truncated message")
 	}
 	return &RemoteError{Code: ErrorCode(code), Message: string(data[n+m : n+m+int(msgLen)])}, nil

@@ -102,7 +102,7 @@ grep -q '"inserted":'"$DRIFT_OPS" "$workdir/upres" || { echo "FAIL: update did n
 
 query='SELECT ?x ?y WHERE { ?x <http://lubm.example.org/univ#advisor> ?y . ?y <http://lubm.example.org/univ#worksFor> ?d . }'
 enc=$(printf '%s' "$query" | sed 's/ /%20/g; s/?/%3F/g; s/</%3C/g; s/>/%3E/g; s/{/%7B/g; s/}/%7D/g; s/#/%23/g')
-url="http://127.0.0.1:$HTTP_PORT/query?limit=1&q=$enc"
+url="http://127.0.0.1:$HTTP_PORT/query?limit=1&digest=1&q=$enc"
 
 echo "==> baseline answer on the drifted graph"
 fetch "$url" "$workdir/baseline"

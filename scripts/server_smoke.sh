@@ -75,7 +75,7 @@ grep -q ok "$workdir/health" || { echo "FAIL: server never became healthy"; exit
 
 query='SELECT ?x ?y WHERE { ?x <http://lubm.example.org/univ#advisor> ?y . ?y <http://lubm.example.org/univ#worksFor> ?d . }'
 enc=$(printf '%s' "$query" | sed 's/ /%20/g; s/?/%3F/g; s/</%3C/g; s/>/%3E/g; s/{/%7B/g; s/}/%7D/g; s/#/%23/g')
-url="http://127.0.0.1:$HTTP_PORT/query?limit=1&q=$enc"
+url="http://127.0.0.1:$HTTP_PORT/query?limit=1&digest=1&q=$enc"
 
 echo "==> firing $CLIENTS concurrent queries"
 fetchers=()
