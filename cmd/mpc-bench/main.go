@@ -27,6 +27,13 @@
 // machine-readable results to the -json path, defaulting to
 // BENCH_<exp>.json.
 //
+// The latencies of Tables IV/V, Figures 7–11 and the semijoin ablation add
+// the paper's network model to the measured join time: 2µs per
+// intermediate tuple shipped, charged to in-process clusters only. The
+// localization ablation reports the summed time and the count of its site
+// calls instead. The online experiment's latency histograms are measured
+// only, with no model.
+//
 // Observability: -metrics PATH dumps the run's metrics registry (counters,
 // gauges, latency histograms, recent query traces) as JSON when the run
 // finishes ("-" writes to stdout); -obs-listen ADDR serves the same

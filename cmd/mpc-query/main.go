@@ -109,7 +109,7 @@ func run(in string, k int, epsilon float64, strategy, queryStr, queryFile string
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "reused assignment: %s\n", p.Summary())
-		layout, crossing = p, crossingTestOf(g, p)
+		layout, crossing = p, p.CrossingTest()
 	default:
 		switch strategy {
 		case "MPC":
@@ -118,25 +118,25 @@ func run(in string, k int, epsilon float64, strategy, queryStr, queryFile string
 				return err
 			}
 			fmt.Fprintf(os.Stderr, "MPC partitioning: %s\n", p.Summary())
-			layout, crossing = p, crossingTestOf(g, p)
+			layout, crossing = p, p.CrossingTest()
 		case "Subject_Hash":
 			p, err := (partition.SubjectHash{}).Partition(g, opts)
 			if err != nil {
 				return err
 			}
-			layout, cfg.Mode = p, cluster.ModeStarOnly
+			layout = p // no crossing test: the plain star-only baseline
 		case "METIS":
 			p, err := (partition.MinEdgeCut{}).Partition(g, opts)
 			if err != nil {
 				return err
 			}
-			layout, cfg.Mode = p, cluster.ModeStarOnly
+			layout = p // no crossing test: the plain star-only baseline
 		case "VP":
 			l, err := (partition.VP{}).Partition(g, opts)
 			if err != nil {
 				return err
 			}
-			layout, cfg.Mode = l, cluster.ModeVP
+			layout = l
 		default:
 			return fmt.Errorf("unknown strategy %q", strategy)
 		}
@@ -165,17 +165,6 @@ func run(in string, k int, epsilon float64, strategy, queryStr, queryFile string
 	return reportWith(g, c, q, limit, partialEval, digest)
 }
 
-// crossingTestOf derives the crossing-property test of a partitioning.
-func crossingTestOf(g *rdf.Graph, p *partition.Partitioning) sparql.CrossingTest {
-	return func(prop string) bool {
-		id, ok := g.Properties.Lookup(prop)
-		if !ok {
-			return false
-		}
-		return p.IsCrossingProperty(rdf.PropertyID(id))
-	}
-}
-
 // reportWith executes q (with the standard or the partial-evaluation
 // engine) and prints the stage breakdown plus result rows.
 func reportWith(g *rdf.Graph, c *cluster.Cluster, q *sparql.Query, limit int, partialEval, digest bool) error {
@@ -191,8 +180,8 @@ func reportWith(g *rdf.Graph, c *cluster.Cluster, q *sparql.Query, limit int, pa
 	}
 	s := res.Stats
 	fmt.Printf("class: %s  independent: %v  subqueries: %d\n", s.Class, s.Independent, s.NumSubqueries)
-	fmt.Printf("QDT: %v  LET: %v  JT: %v (net %v, %d tuples shipped)  total: %v\n",
-		s.DecompTime, s.LocalTime, s.JoinTime, s.NetTime, s.TuplesShipped, s.Total())
+	fmt.Printf("QDT: %v  LET: %v  JT: %v (%d tuples shipped)  total: %v\n",
+		s.DecompTime, s.LocalTime, s.JoinTime, s.TuplesShipped, s.Total())
 	if c.Remote() {
 		fmt.Printf("wire: %d bytes shipped, %v summed round-trip time\n", s.BytesShipped, s.WireTime)
 	}

@@ -257,32 +257,25 @@ func buildCluster(g *rdf.Graph, k int, epsilon float64, strategy string, seed in
 			return nil, nil, err
 		}
 		fmt.Fprintf(os.Stderr, "MPC partitioning: %s\n", p.Summary())
-		layout = p
-		crossing = func(prop string) bool {
-			id, ok := g.Properties.Lookup(prop)
-			if !ok {
-				return false
-			}
-			return p.IsCrossingProperty(rdf.PropertyID(id))
-		}
+		layout, crossing = p, p.CrossingTest()
 	case "Subject_Hash":
 		p, err := (partition.SubjectHash{}).Partition(g, opts)
 		if err != nil {
 			return nil, nil, err
 		}
-		layout, cfg.Mode = p, cluster.ModeStarOnly
+		layout = p // no crossing test: the plain star-only baseline
 	case "METIS":
 		p, err := (partition.MinEdgeCut{}).Partition(g, opts)
 		if err != nil {
 			return nil, nil, err
 		}
-		layout, cfg.Mode = p, cluster.ModeStarOnly
+		layout = p // no crossing test: the plain star-only baseline
 	case "VP":
 		l, err := (partition.VP{}).Partition(g, opts)
 		if err != nil {
 			return nil, nil, err
 		}
-		layout, cfg.Mode = l, cluster.ModeVP
+		layout = l
 	default:
 		return nil, nil, fmt.Errorf("unknown strategy %q", strategy)
 	}

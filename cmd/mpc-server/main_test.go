@@ -70,7 +70,7 @@ func testCluster(t *testing.T, triples [][3]string) (*rdf.Graph, *cluster.Cluste
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := cluster.New(layout, nil, cluster.Config{Mode: cluster.ModeStarOnly})
+	c, err := cluster.New(layout, nil, cluster.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

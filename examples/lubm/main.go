@@ -44,7 +44,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	hashCluster, err := cluster.NewFromPartitioning(hashPart, cluster.Config{Mode: cluster.ModeStarOnly})
+	hashCluster, err := cluster.New(hashPart, nil, cluster.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}

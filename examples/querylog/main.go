@@ -49,7 +49,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	hashC, err := cluster.NewFromPartitioning(hashPart, cluster.Config{Mode: cluster.ModeStarOnly})
+	hashC, err := cluster.New(hashPart, nil, cluster.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	metisC, err := cluster.NewFromPartitioning(metisPart, cluster.Config{Mode: cluster.ModeStarOnly})
+	metisC, err := cluster.New(metisPart, nil, cluster.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	vpC, err := cluster.New(vpLayout, nil, cluster.Config{Mode: cluster.ModeVP})
+	vpC, err := cluster.New(vpLayout, nil, cluster.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}

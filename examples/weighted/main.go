@@ -15,7 +15,6 @@ import (
 	"mpc/internal/core"
 	"mpc/internal/datagen"
 	"mpc/internal/partition"
-	"mpc/internal/rdf"
 	"mpc/internal/sparql"
 	"mpc/internal/workload"
 )
@@ -46,14 +45,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		crossing := func(prop string) bool {
-			id, ok := g.Properties.Lookup(prop)
-			if !ok {
-				return false
-			}
-			return res.IsCrossingProperty(rdf.PropertyID(id))
-		}
-		share := workload.IEQShare(log1, crossing)
+		share := workload.IEQShare(log1, res.CrossingTest())
 		fmt.Printf("%-18s %10d %10d %11.1f%%\n",
 			sel.Name(), len(res.LIn), res.NumCrossingProperties(), 100*share)
 	}

@@ -10,7 +10,6 @@ import (
 	"mpc/internal/core"
 	"mpc/internal/datagen"
 	"mpc/internal/partition"
-	"mpc/internal/rdf"
 	"mpc/internal/sparql"
 	"mpc/internal/store"
 	"mpc/internal/workload"
@@ -68,7 +67,7 @@ func TestEndToEndPipeline(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if c, err := cluster.NewFromPartitioning(hashP, cluster.Config{Mode: cluster.ModeStarOnly}); err == nil {
+			if c, err := cluster.New(hashP, nil, cluster.Config{}); err == nil {
 				clusters["Subject_Hash"] = c
 			} else {
 				t.Fatal(err)
@@ -77,7 +76,7 @@ func TestEndToEndPipeline(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if c, err := cluster.NewFromPartitioning(metisP, cluster.Config{Mode: cluster.ModeStarOnly, Semijoin: true}); err == nil {
+			if c, err := cluster.New(metisP, nil, cluster.Config{Semijoin: true}); err == nil {
 				clusters["METIS+semijoin"] = c
 			} else {
 				t.Fatal(err)
@@ -86,7 +85,7 @@ func TestEndToEndPipeline(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if c, err := cluster.New(vpL, nil, cluster.Config{Mode: cluster.ModeVP}); err == nil {
+			if c, err := cluster.New(vpL, nil, cluster.Config{}); err == nil {
 				clusters["VP"] = c
 			} else {
 				t.Fatal(err)
@@ -186,15 +185,15 @@ func TestOnlineResultsBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if out["Subject_Hash"], err = cluster.NewFromPartitioning(hp,
-					cluster.Config{Mode: cluster.ModeStarOnly, Semijoin: true}); err != nil {
+				if out["Subject_Hash"], err = cluster.New(hp, nil,
+					cluster.Config{Semijoin: true}); err != nil {
 					t.Fatal(err)
 				}
 				vl, err := (partition.VP{}).Partition(g, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if out["VP"], err = cluster.New(vl, nil, cluster.Config{Mode: cluster.ModeVP}); err != nil {
+				if out["VP"], err = cluster.New(vl, nil, cluster.Config{}); err != nil {
 					t.Fatal(err)
 				}
 				return out
@@ -238,13 +237,7 @@ func TestTheoremsHoldOnRealWorkloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	crossing := func(prop string) bool {
-		id, ok := g.Properties.Lookup(prop)
-		if !ok {
-			return false
-		}
-		return p.IsCrossingProperty(rdf.PropertyID(id))
-	}
+	crossing := p.CrossingTest()
 	c, err := cluster.NewFromPartitioning(p, cluster.Config{})
 	if err != nil {
 		t.Fatal(err)

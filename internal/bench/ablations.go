@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"context"
+	"sync/atomic"
 	"time"
 
 	"mpc/internal/cluster"
@@ -10,6 +12,7 @@ import (
 	"mpc/internal/partition"
 	"mpc/internal/rdf"
 	"mpc/internal/sparql"
+	"mpc/internal/store"
 	"mpc/internal/workload"
 )
 
@@ -205,14 +208,14 @@ func RunAblationSemijoin(cfg Config) ([]AblationSemijoinRow, error) {
 	var rows []AblationSemijoinRow
 	for _, semijoin := range []bool{false, true} {
 		for _, sc := range []struct {
-			name string
-			p    *partition.Partitioning
-			mode cluster.Mode
+			name     string
+			p        *partition.Partitioning
+			crossing sparql.CrossingTest // nil: the plain star-only baseline
 		}{
-			{StratMPC, mpcP, cluster.ModeCrossingAware},
-			{StratHash, hashP, cluster.ModeStarOnly},
+			{StratMPC, mpcP, mpcP.CrossingTest()},
+			{StratHash, hashP, nil},
 		} {
-			c, err := cluster.NewFromPartitioning(sc.p, cluster.Config{Mode: sc.mode, Semijoin: semijoin})
+			c, err := cluster.New(sc.p, sc.crossing, cluster.Config{Semijoin: semijoin})
 			if err != nil {
 				return nil, err
 			}
@@ -223,7 +226,7 @@ func RunAblationSemijoin(cfg Config) ([]AblationSemijoinRow, error) {
 					return nil, err
 				}
 				row.TuplesShipped += res.Stats.TuplesShipped
-				row.TotalTime += res.Stats.Total()
+				row.TotalTime += modeledStats(c, res).Total()
 			}
 			rows = append(rows, row)
 		}
@@ -268,7 +271,7 @@ func RunAblationWeighted(cfg Config) ([]AblationWeightedRow, error) {
 		rows = append(rows, AblationWeightedRow{
 			Selector: sel.name,
 			LCross:   p.NumCrossingProperties(),
-			IEQShare: workload.IEQShare(qs, crossingTestOf(p)),
+			IEQShare: workload.IEQShare(qs, p.CrossingTest()),
 		})
 	}
 	return rows, nil
@@ -280,16 +283,23 @@ func RunAblationWeighted(cfg Config) ([]AblationWeightedRow, error) {
 // IEQs run only at the constant's home).
 type AblationLocalizeRow struct {
 	// Localize is false for the broadcast arm, true for the localized one.
-	Localize  bool
-	TotalTime time.Duration
+	Localize bool
+	// SiteTime sums the durations of all site calls: the cluster's total
+	// site work, which parallel wall-clock latency would hide behind the
+	// slowest site.
+	SiteTime time.Duration
+	// SiteCalls counts the site calls (one batch exchange with one site).
+	SiteCalls int64
 	Queries   int
+	// answers holds each query's sorted-result digest, to compare the arms.
+	answers []string
 }
 
 // RunAblationLocalize measures query localization on the LUBM benchmark
-// queries that carry constants. Sites run sequentially so the measured time
-// is total cluster work — localization saves work at the skipped sites,
-// which parallel wall-clock latency would hide behind the slowest site.
-// Expected shape: identical results with lower total work when on.
+// queries that carry constants. Every site call is timed (timedSite), so
+// the row reports total site work and call count while the fan-out stays
+// parallel: localization saves work at the skipped sites. Expected shape:
+// identical results with fewer site calls and lower total work when on.
 func RunAblationLocalize(cfg Config) ([]AblationLocalizeRow, error) {
 	cfg = cfg.withDefaults()
 	g := datagen.LUBM{}.Generate(cfg.Triples, cfg.Seed)
@@ -297,10 +307,19 @@ func RunAblationLocalize(cfg Config) ([]AblationLocalizeRow, error) {
 	if err != nil {
 		return nil, err
 	}
+	stores := make([]*store.Store, p.NumSites())
+	for i := range stores {
+		stores[i] = store.New(g, p.SiteTriples(i))
+	}
 	qs := workload.LUBMQueries(g, cfg.Seed)
 	var rows []AblationLocalizeRow
 	for _, localize := range []bool{false, true} {
-		c, err := cluster.NewFromPartitioning(p, cluster.Config{Broadcast: !localize, Sequential: true})
+		var work timedWork
+		sites := make([]cluster.Site, len(stores))
+		for i, st := range stores {
+			sites[i] = timedSite{cluster.SiteForStore(st).(cluster.BatchSite), &work}
+		}
+		c, err := cluster.NewWithSites(p, p.CrossingTest(), cluster.Config{Broadcast: !localize}, sites)
 		if err != nil {
 			return nil, err
 		}
@@ -315,12 +334,41 @@ func RunAblationLocalize(cfg Config) ([]AblationLocalizeRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			row.TotalTime += res.Stats.Total()
+			// Localizing changes which sites answer, so the rows may come
+			// in another order: compare them sorted.
+			res.Table.SortRows()
+			row.answers = append(row.answers, tableDigest(res))
 			row.Queries++
 		}
+		row.SiteTime, row.SiteCalls = time.Duration(work.nanos.Load()), work.calls.Load()
 		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+// timedWork accumulates the site calls of one cluster.
+type timedWork struct{ calls, nanos atomic.Int64 }
+
+// timedSite is a site that adds each call's count and duration to work.
+type timedSite struct {
+	cluster.BatchSite
+	work *timedWork
+}
+
+func (s timedSite) ExecuteSub(ctx context.Context, sub *sparql.Query, opts cluster.SubOpts) (*store.Table, cluster.SubStats, error) {
+	defer s.work.add(time.Now())
+	return s.BatchSite.ExecuteSub(ctx, sub, opts)
+}
+
+func (s timedSite) ExecuteSubBatch(ctx context.Context, subs []*sparql.Query, opts cluster.SubOpts) ([]*store.Table, cluster.SubStats, error) {
+	defer s.work.add(time.Now())
+	return s.BatchSite.ExecuteSubBatch(ctx, subs, opts)
+}
+
+// add records one call that started at t0.
+func (w *timedWork) add(t0 time.Time) {
+	w.nanos.Add(int64(time.Since(t0)))
+	w.calls.Add(1)
 }
 
 func hasConstantVertex(q *sparql.Query) bool {

@@ -6,7 +6,8 @@
 // benchmarks.
 //
 // Absolute numbers differ from the paper (the substrate is an in-process
-// simulator, the datasets are scaled three orders of magnitude down), but
+// simulator whose shipping cost modeledStats models per tuple, and the
+// datasets are scaled three orders of magnitude down), but
 // each runner reproduces the paper's qualitative shape: who wins, by
 // roughly what factor, and where the crossovers are.
 package bench
@@ -100,20 +101,27 @@ func VertexDisjointStrategies() map[string]partition.Partitioner {
 	}
 }
 
-// crossingTestOf derives the crossing-property test from a partitioning.
-func crossingTestOf(p *partition.Partitioning) sparql.CrossingTest {
-	g := p.Graph()
-	return func(prop string) bool {
-		id, ok := g.Properties.Lookup(prop)
-		if !ok {
-			return false
-		}
-		return p.IsCrossingProperty(rdf.PropertyID(id))
+// netCostPerTuple is the paper's shipping model: moving one intermediate
+// tuple to the coordinator costs 2µs — its MPICH testbed reduced to a
+// constant.
+const netCostPerTuple = 2 * time.Microsecond
+
+// modeledStats returns res's statistics with the modeled shipping cost,
+// TuplesShipped × netCostPerTuple, added to JoinTime: the JT (and total)
+// that Tables IV/V, Figs. 7–11 and the semijoin ablation report. Only an
+// in-process cluster is charged; a remote cluster's shipping is measured,
+// already inside its LocalTime.
+func modeledStats(c *cluster.Cluster, res *cluster.Result) cluster.Stats {
+	s := res.Stats
+	if !c.Remote() {
+		s.JoinTime += time.Duration(s.TuplesShipped) * netCostPerTuple
 	}
+	return s
 }
 
 // builtCluster bundles a cluster with its offline timings plus the layout
-// ingredients needed to rebuild the same coordinator over remote sites.
+// ingredients needed to rebuild the same coordinator over remote sites: a
+// nil crossing test rebuilds a plain baseline, or VP over a VPLayout.
 type builtCluster struct {
 	name          string
 	c             *cluster.Cluster
@@ -122,7 +130,6 @@ type builtCluster struct {
 
 	layout   partition.SiteLayout
 	crossing sparql.CrossingTest
-	mode     cluster.Mode
 }
 
 // buildClusters constructs the full strategy lineup over one graph:
@@ -132,17 +139,15 @@ func buildClusters(g *rdf.Graph, cfg Config, only map[string]bool) ([]builtClust
 	want := func(s string) bool { return only == nil || only[s] }
 	var out []builtCluster
 
-	add := func(name string, p *partition.Partitioning, mode cluster.Mode, ptime time.Duration) error {
-		c, err := cluster.NewFromPartitioning(p, cluster.Config{Mode: mode, Obs: cfg.Obs})
+	// add builds a crossing-aware cluster, or with a nil crossing test the
+	// plain star-only baseline.
+	add := func(name string, p *partition.Partitioning, crossing sparql.CrossingTest, ptime time.Duration) error {
+		c, err := cluster.New(p, crossing, cluster.Config{Obs: cfg.Obs})
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
-		bc := builtCluster{name: name, c: c, partitionTime: ptime, loadTime: c.LoadTime,
-			layout: p, mode: mode}
-		if mode == cluster.ModeCrossingAware {
-			bc.crossing = crossingTestOf(p)
-		}
-		out = append(out, bc)
+		out = append(out, builtCluster{name: name, c: c, partitionTime: ptime, loadTime: c.LoadTime,
+			layout: p, crossing: crossing})
 		return nil
 	}
 
@@ -152,7 +157,7 @@ func buildClusters(g *rdf.Graph, cfg Config, only map[string]bool) ([]builtClust
 		if err != nil {
 			return nil, fmt.Errorf("MPC: %w", err)
 		}
-		if err := add(StratMPC, p, cluster.ModeCrossingAware, time.Since(t0)); err != nil {
+		if err := add(StratMPC, p, p.CrossingTest(), time.Since(t0)); err != nil {
 			return nil, err
 		}
 	}
@@ -164,12 +169,12 @@ func buildClusters(g *rdf.Graph, cfg Config, only map[string]bool) ([]builtClust
 		}
 		ptime := time.Since(t0)
 		if want(StratHash) {
-			if err := add(StratHash, p, cluster.ModeStarOnly, ptime); err != nil {
+			if err := add(StratHash, p, nil, ptime); err != nil {
 				return nil, err
 			}
 		}
 		if want(StratHashPlus) {
-			if err := add(StratHashPlus, p, cluster.ModeCrossingAware, ptime); err != nil {
+			if err := add(StratHashPlus, p, p.CrossingTest(), ptime); err != nil {
 				return nil, err
 			}
 		}
@@ -182,12 +187,12 @@ func buildClusters(g *rdf.Graph, cfg Config, only map[string]bool) ([]builtClust
 		}
 		ptime := time.Since(t0)
 		if want(StratMETIS) {
-			if err := add(StratMETIS, p, cluster.ModeStarOnly, ptime); err != nil {
+			if err := add(StratMETIS, p, nil, ptime); err != nil {
 				return nil, err
 			}
 		}
 		if want(StratMETISP) {
-			if err := add(StratMETISP, p, cluster.ModeCrossingAware, ptime); err != nil {
+			if err := add(StratMETISP, p, p.CrossingTest(), ptime); err != nil {
 				return nil, err
 			}
 		}
@@ -199,12 +204,12 @@ func buildClusters(g *rdf.Graph, cfg Config, only map[string]bool) ([]builtClust
 			return nil, fmt.Errorf("VP: %w", err)
 		}
 		ptime := time.Since(t0)
-		c, err := cluster.New(l, nil, cluster.Config{Mode: cluster.ModeVP, Obs: cfg.Obs})
+		c, err := cluster.New(l, nil, cluster.Config{Obs: cfg.Obs})
 		if err != nil {
 			return nil, fmt.Errorf("VP: %w", err)
 		}
 		out = append(out, builtCluster{name: StratVP, c: c, partitionTime: ptime, loadTime: c.LoadTime,
-			layout: l, mode: cluster.ModeVP})
+			layout: l})
 	}
 	return out, nil
 }

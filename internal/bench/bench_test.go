@@ -421,6 +421,14 @@ func TestAblationLocalize(t *testing.T) {
 	if rows[0].Queries == 0 || rows[0].Queries != rows[1].Queries {
 		t.Fatalf("queries = %d/%d, want equal and nonzero", rows[0].Queries, rows[1].Queries)
 	}
+	for i, a := range rows[0].answers {
+		if a != rows[1].answers[i] {
+			t.Fatalf("query %d: localized answer differs from broadcast", i)
+		}
+	}
+	if rows[1].SiteCalls >= rows[0].SiteCalls {
+		t.Fatalf("localized arm made %d site calls, broadcast %d: want fewer", rows[1].SiteCalls, rows[0].SiteCalls)
+	}
 	var buf bytes.Buffer
 	RenderAblationLocalize(&buf, rows)
 	if buf.Len() == 0 {

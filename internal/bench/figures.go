@@ -47,7 +47,7 @@ func RunFig7(cfg Config) ([]Fig7Row, error) {
 				if err != nil {
 					return nil, fmt.Errorf("%s/%s/%s: %w", gen.Name(), b.name, q.Name, err)
 				}
-				row.Times[b.name] = res.Stats.Total()
+				row.Times[b.name] = modeledStats(b.c, res).Total()
 			}
 			rows = append(rows, row)
 		}
@@ -92,7 +92,7 @@ func RunFig8(cfg Config) ([]Fig8Row, error) {
 				if err != nil {
 					return nil, fmt.Errorf("%s/%s/%s: %w", gen.Name(), b.name, q.Name, err)
 				}
-				times = append(times, res.Stats.Total())
+				times = append(times, modeledStats(b.c, res).Total())
 			}
 			sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
 			rows = append(rows, Fig8Row{
@@ -146,7 +146,7 @@ func RunScalability(cfg Config) ([]ScaleRow, error) {
 				if err != nil {
 					return nil, fmt.Errorf("%s@%d/%s: %w", gen.Name(), scale, q.Name, err)
 				}
-				total += res.Stats.Total()
+				total += modeledStats(b.c, res).Total()
 			}
 			rows = append(rows, ScaleRow{
 				Dataset:      gen.Name(),
@@ -209,7 +209,7 @@ func RunFig11(cfg Config) ([]Fig11Row, error) {
 					Dataset:        gen.Name(),
 					Query:          q.Name,
 					Strategy:       name,
-					Time:           res.Stats.Total(),
+					Time:           modeledStats(b.c, res).Total(),
 					PartialMatches: res.Stats.TuplesShipped,
 				})
 			}

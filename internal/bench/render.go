@@ -237,10 +237,10 @@ func RenderAblationWeighted(w io.Writer, rows []AblationWeightedRow) {
 func RenderAblationLocalize(w io.Writer, rows []AblationLocalizeRow) {
 	var cells [][]string
 	for _, r := range rows {
-		cells = append(cells, []string{fmt.Sprint(r.Localize), fd(r.TotalTime), fmt.Sprint(r.Queries)})
+		cells = append(cells, []string{fmt.Sprint(r.Localize), fd(r.SiteTime), fmt.Sprint(r.SiteCalls), fmt.Sprint(r.Queries)})
 	}
 	WriteTable(w, "Ablation: query localization (LUBM benchmark, MPC)",
-		[]string{"Localize", "TotalTime", "Queries"}, cells)
+		[]string{"Localize", "SiteTime", "SiteCalls", "Queries"}, cells)
 }
 
 // RenderAblationEpsilonK writes the ε/k sweep.

@@ -107,7 +107,7 @@ func RunScale(cfg Config) (*ScaleResult, error) {
 		return nil, fmt.Errorf("scale: partition: %w", err)
 	}
 	res.PartitionMS = ms(time.Since(t0))
-	crossing := crossingTestOf(p)
+	crossing := p.CrossingTest()
 
 	dir, err := os.MkdirTemp("", "mpc-scale-")
 	if err != nil {
@@ -192,7 +192,7 @@ func runScalePhase(ph *ScalePhase, layout partition.SiteLayout, crossing sparql.
 		stores = append(stores, st)
 		sites = append(sites, cluster.SiteForStore(st))
 	}
-	c, err := cluster.NewWithSites(layout, crossing, cluster.Config{Mode: cluster.ModeCrossingAware}, sites)
+	c, err := cluster.NewWithSites(layout, crossing, cluster.Config{}, sites)
 	if err != nil {
 		return nil, err
 	}

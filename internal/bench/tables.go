@@ -73,19 +73,19 @@ func RunTable3(cfg Config) ([]Table3Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		row.MPC = workload.IEQShare(qs, crossingTestOf(mpcP))
+		row.MPC = workload.IEQShare(qs, mpcP.CrossingTest())
 
 		hashP, err := (partition.SubjectHash{}).Partition(g, cfg.opts())
 		if err != nil {
 			return nil, err
 		}
-		row.SubjHashPlus = workload.IEQShare(qs, crossingTestOf(hashP))
+		row.SubjHashPlus = workload.IEQShare(qs, hashP.CrossingTest())
 
 		metisP, err := (partition.MinEdgeCut{}).Partition(g, cfg.opts())
 		if err != nil {
 			return nil, err
 		}
-		row.METISPlus = workload.IEQShare(qs, crossingTestOf(metisP))
+		row.METISPlus = workload.IEQShare(qs, metisP.CrossingTest())
 
 		row.Plain = row.StarShare // stars are exactly the plain systems' IEQs
 
@@ -179,13 +179,14 @@ func runStages(gen datagen.Generator, cfg Config) ([]StageRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", q.Name, err)
 		}
+		s := modeledStats(built[0].c, res)
 		rows = append(rows, StageRow{
 			Query:   q.Name,
-			Class:   res.Stats.Class,
-			QDT:     res.Stats.DecompTime,
-			LET:     res.Stats.LocalTime,
-			JT:      res.Stats.JoinTime,
-			Total:   res.Stats.Total(),
+			Class:   s.Class,
+			QDT:     s.DecompTime,
+			LET:     s.LocalTime,
+			JT:      s.JoinTime,
+			Total:   s.Total(),
 			Results: res.Table.Len(),
 		})
 	}

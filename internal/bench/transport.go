@@ -45,8 +45,10 @@ type TransportSection struct {
 // combination's own site stores behind loopback TCP servers, and a
 // coordinator over transport clients of them sharing the combination's
 // layout. Nothing is copied — both clusters answer from the same stores —
-// so the only difference from bc.c is that subqueries, updates and
-// migrations cross a real socket. closeAll releases clients and servers.
+// so the only differences from bc.c are that subqueries, updates and
+// migrations cross a real socket, and that a property path over internal
+// properties, which bc.c closes per site in process, is closed at the
+// coordinator. closeAll releases clients and servers.
 func loopbackCluster(bc builtCluster, cfg cluster.Config, reg *obs.Registry) (remote *cluster.Cluster, addrs []string, closeAll func(), err error) {
 	stores := make([]*store.Store, bc.c.NumSites())
 	for i := range stores {
@@ -69,7 +71,7 @@ func loopbackCluster(bc builtCluster, cfg cluster.Config, reg *obs.Registry) (re
 		closeAll()
 		return nil, nil, nil, err
 	}
-	cfg.Mode, cfg.Obs = bc.mode, reg
+	cfg.Obs = reg
 	remote, err = cluster.NewWithSites(bc.layout, bc.crossing, cfg, transport.Sites(clients))
 	if err != nil {
 		closeAll()

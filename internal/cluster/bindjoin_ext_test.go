@@ -73,14 +73,6 @@ func (s logSite) ExecuteSubBatch(ctx context.Context, subs []*sparql.Query, opts
 	return s.BatchSite.ExecuteSubBatch(ctx, subs, opts)
 }
 
-func crossingOf(p *partition.Partitioning) sparql.CrossingTest {
-	g := p.Graph()
-	return func(prop string) bool {
-		id, ok := g.Properties.Lookup(prop)
-		return ok && p.IsCrossingProperty(rdf.PropertyID(id))
-	}
-}
-
 // checkOracle compares a cluster's answer to q with the reference
 // evaluator's.
 func checkOracle(t *testing.T, name string, c *cluster.Cluster, g *rdf.Graph, q *sparql.Query) {
@@ -132,7 +124,7 @@ func TestBindJoinLiteralAndBlankValuesOverTCP(t *testing.T) {
 	for i, cl := range clients {
 		sites[i] = logSite{cl, &mu, &sent}
 	}
-	tcp, err := cluster.NewWithSites(p, crossingOf(p), cluster.Config{}, sites)
+	tcp, err := cluster.NewWithSites(p, p.CrossingTest(), cluster.Config{}, sites)
 	if err != nil {
 		t.Fatal(err)
 	}

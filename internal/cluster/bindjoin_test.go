@@ -84,15 +84,6 @@ func recordedCluster(t *testing.T, layout partition.SiteLayout, crossing sparql.
 	return c, rec
 }
 
-// crossingOf is the crossing test NewFromPartitioning derives.
-func crossingOf(p *partition.Partitioning) sparql.CrossingTest {
-	g := p.Graph()
-	return func(prop string) bool {
-		id, ok := g.Properties.Lookup(prop)
-		return ok && p.IsCrossingProperty(rdf.PropertyID(id))
-	}
-}
-
 // callsWith returns, per site, the recorded subqueries with a pattern on
 // property prop.
 func callsWith(rec []*subLogSite, prop string) [][]*sparql.Query {
@@ -124,7 +115,7 @@ func checkAgainstWhole(t *testing.T, g *rdf.Graph, got *store.Table, q *sparql.Q
 
 func TestBindJoinEmptyAnchorSkipsDependent(t *testing.T) {
 	_, p := bindGraph(t, 3, 5)
-	c, rec := recordedCluster(t, p, crossingOf(p), Config{})
+	c, rec := recordedCluster(t, p, p.CrossingTest(), Config{})
 	// z0 exists but anchors nothing: round 1 is empty.
 	q := sparql.MustParse(`SELECT * WHERE { <z0> <anchor> ?x . ?x <kind> ?k . ?x <link> ?y . ?y <tail> ?z }`)
 	if pl := c.Plan(q); pl.Independent || len(pl.Subs) < 2 {
@@ -151,7 +142,7 @@ func TestBindJoinEmptyAnchorSkipsDependent(t *testing.T) {
 
 func TestBindJoinInstancesGoToHomeSite(t *testing.T) {
 	g, p := bindGraph(t, 3, 20)
-	c, rec := recordedCluster(t, p, crossingOf(p), Config{})
+	c, rec := recordedCluster(t, p, p.CrossingTest(), Config{})
 	q := sparql.MustParse(chainQuery)
 	res, err := c.Execute(q)
 	if err != nil {
@@ -188,7 +179,7 @@ func TestBindJoinInstancesGoToHomeSite(t *testing.T) {
 func TestBindJoinLimitFallsBackToUnbound(t *testing.T) {
 	for _, n := range []int{bindLimit, bindLimit + 1} {
 		g, p := bindGraph(t, n, 10)
-		c, rec := recordedCluster(t, p, crossingOf(p), Config{})
+		c, rec := recordedCluster(t, p, p.CrossingTest(), Config{})
 		q := sparql.MustParse(chainQuery)
 		res, err := c.Execute(q)
 		if err != nil {
@@ -241,7 +232,7 @@ func TestBindJoinNeverBindsPropertyVariables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, rec := recordedCluster(t, p, crossingOf(p), Config{})
+	c, rec := recordedCluster(t, p, p.CrossingTest(), Config{})
 	for _, qs := range []string{
 		`SELECT * WHERE { <actor1> ?pp ?x . ?x ?pp ?y . ?y ?q ?z }`,
 		`SELECT * WHERE { <film1> ?pp ?x . ?x <birthPlace> ?c . ?d ?pp ?c }`,
@@ -275,7 +266,7 @@ func TestBindJoinVPInstancesStayOnPlanSites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, rec := recordedCluster(t, vpl, nil, Config{Mode: ModeVP})
+	c, rec := recordedCluster(t, vpl, nil, Config{})
 	q := sparql.MustParse(chainQuery)
 	res, err := c.Execute(q)
 	if err != nil {

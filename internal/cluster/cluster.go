@@ -5,21 +5,26 @@
 // (Algorithm 2 for crossing-aware systems, subject-star decomposition for
 // the baselines), and joins subquery results.
 //
+// The coordinator's strategy follows from what it is built over (New,
+// NewWithSites): an edge-disjoint *partition.VPLayout runs each pattern at
+// its property's site; a vertex-disjoint layout with a crossing test runs
+// the crossing-aware planner of Section V; and a vertex-disjoint layout
+// without one is a plain baseline (Subject_Hash, METIS) that knows no
+// crossing set, so it treats every property as crossing and decomposes
+// non-stars into subject stars.
+//
 // Sites are abstracted behind the Site interface, which has two
 // implementations:
 //
 //   - In-process (New/NewFromPartitioning): each site is a local store
-//     evaluated on a goroutine, and inter-partition data shipping is modeled
-//     by a configurable per-tuple cost (Config.NetCostPerTuple) added to the
-//     reported join time — the paper's MPICH testbed reduced to a simulator.
+//     evaluated on a goroutine; no bytes move.
 //   - Remote (NewWithSites): each site is a network endpoint — typically an
 //     internal/transport client talking to a cmd/mpc-site process — and
-//     shipping is measured, not modeled: Stats carries the real wire bytes
-//     (BytesShipped) and round-trip time (WireTime), and the simulated
-//     NetTime stays zero.
+//     Stats carries the measured wire bytes (BytesShipped) and round-trip
+//     time (WireTime).
 //
 // Either way, what the model preserves is exactly the phenomenon under
-// study: IEQs skip the join phase — and its shipping cost — entirely.
+// study: IEQs skip the join phase — and its shipping — entirely.
 package cluster
 
 import (
@@ -34,39 +39,9 @@ import (
 	"mpc/internal/dsf"
 	"mpc/internal/obs"
 	"mpc/internal/partition"
-	"mpc/internal/rdf"
 	"mpc/internal/sparql"
 	"mpc/internal/store"
 )
-
-// Mode selects the coordinator's execution strategy.
-type Mode int
-
-const (
-	// ModeCrossingAware uses the full IEQ classification of Section V and
-	// Algorithm 2 decomposition (MPC, Subject_Hash+, METIS+).
-	ModeCrossingAware Mode = iota
-	// ModeStarOnly treats only star queries as independently executable and
-	// decomposes everything else into subject stars (plain Subject_Hash,
-	// METIS: SHAPE, H-RDF-3X, TriAD style).
-	ModeStarOnly
-	// ModeVP is edge-disjoint execution: each pattern is evaluated at the
-	// site owning its property; a query is independent only if every
-	// pattern lives on one site.
-	ModeVP
-)
-
-// String names the mode.
-func (m Mode) String() string {
-	switch m {
-	case ModeCrossingAware:
-		return "crossing-aware"
-	case ModeStarOnly:
-		return "star-only"
-	default:
-		return "vp"
-	}
-}
 
 // SubOpts tunes one Site.ExecuteSub call.
 type SubOpts struct {
@@ -166,21 +141,6 @@ func SiteForStore(st *store.Store) Site { return localSite{st} }
 
 // Config tunes the cluster.
 type Config struct {
-	// Mode selects the execution strategy; default ModeCrossingAware.
-	Mode Mode
-	// NetCostPerTuple is the simulated cost of shipping one intermediate
-	// tuple to the coordinator for an inter-partition join. Zero means 2µs.
-	//
-	// The simulation applies only to in-process clusters (New,
-	// NewFromPartitioning), where no real network exists: Stats.NetTime is
-	// derived from it and folded into Stats.JoinTime. Clusters over real
-	// transports (NewWithSites) ignore it entirely — there the measured
-	// Stats.BytesShipped and Stats.WireTime replace the model and NetTime
-	// stays zero.
-	NetCostPerTuple time.Duration
-	// Sequential disables parallel site evaluation (useful in benchmarks
-	// that measure pure CPU work).
-	Sequential bool
 	// Semijoin enables the distributed semijoin reduction (AdPart/WORQ
 	// style) before inter-partition joins: subquery results are filtered
 	// by the join keys present in the other subqueries' results, shrinking
@@ -206,18 +166,22 @@ type Config struct {
 	BalanceEpsilon float64
 }
 
-// Cluster is a distributed RDF system: in-process (simulated shipping) or
-// backed by remote sites over a real transport.
+// Cluster is a distributed RDF system: in-process, or backed by remote
+// sites over a real transport.
 type Cluster struct {
 	layout partition.SiteLayout
 	// sites are the sites as given, probed for the optional write halves
 	// (SiteUpdater, SiteMigrator); batch is the read path's view of the same
 	// sites — sites[i] itself, or a perSubSite around it.
-	sites    []Site
-	batch    []BatchSite
-	stores   []*store.Store // per-site local stores; nil entries for remote sites
-	remote   bool           // true when any site is not an in-process store
+	sites  []Site
+	batch  []BatchSite
+	stores []*store.Store // per-site local stores; nil entries for remote sites
+	remote bool           // true when any site is not an in-process store
+	// crossing is the test plans are judged by: the caller's for a
+	// crossing-aware cluster, sparql.AllCrossing for a plain one (plain),
+	// nil for an edge-disjoint one (vp).
 	crossing sparql.CrossingTest
+	plain    bool
 	vp       *partition.VPLayout
 	cfg      Config
 	met      clusterMetrics
@@ -267,15 +231,13 @@ type Cluster struct {
 
 // Stats reports the per-stage breakdown of one query execution, matching
 // the rows of Tables IV and V: QDT (decomposition), LET (local evaluation),
-// JT (join incl. simulated shipping).
+// JT (coordinator join).
 //
-// Network cost appears in exactly one of two forms, never both. In-process
-// clusters simulate it: NetTime = TuplesShipped × Config.NetCostPerTuple,
-// folded into JoinTime, while BytesShipped and WireTime stay zero. Clusters
-// over a real transport (NewWithSites) measure it: BytesShipped and
-// WireTime report actual wire traffic (incurred during the local-evaluation
-// phase, so already part of LocalTime), while NetTime stays zero and
-// JoinTime is pure coordinator compute.
+// Every number is measured. Clusters over a real transport (NewWithSites)
+// report their wire traffic in BytesShipped and WireTime, incurred during
+// the local-evaluation phase and so already part of LocalTime; in-process
+// clusters move no bytes and leave both zero. TuplesShipped counts the
+// intermediate tuples either kind moves to the coordinator.
 type Stats struct {
 	// Class is the query's executability class under this cluster's
 	// partitioning.
@@ -290,12 +252,8 @@ type Stats struct {
 	// LocalTime is the wall time of the parallel local evaluation (LET).
 	// For remote clusters this includes the network round-trips.
 	LocalTime time.Duration
-	// JoinTime is coordinator join computation time plus NetTime (JT).
+	// JoinTime is coordinator join computation time (JT).
 	JoinTime time.Duration
-	// NetTime is the simulated shipping cost included in JoinTime.
-	// Always zero when a real transport is active: the measured
-	// BytesShipped/WireTime replace the simulation.
-	NetTime time.Duration
 	// TuplesShipped counts intermediate tuples moved for joins.
 	TuplesShipped int
 	// BytesShipped is the measured wire bytes moved between the
@@ -315,7 +273,7 @@ type Stats struct {
 	Operator string
 }
 
-// Total returns QDT+LET+JT, the end-to-end simulated latency.
+// Total returns QDT+LET+JT, the end-to-end latency.
 func (s Stats) Total() time.Duration { return s.DecompTime + s.LocalTime + s.JoinTime }
 
 // Result is a query answer with its execution statistics.
@@ -324,14 +282,14 @@ type Result struct {
 	Stats Stats
 }
 
-// New builds a cluster over a site layout. crossing is the crossing-property
-// test derived from the partitioning; it is required for ModeCrossingAware
-// and ignored otherwise. For ModeVP, layout must be a *partition.VPLayout.
+// New builds a cluster over a site layout, one in-process store per site.
+// The layout and crossing choose the strategy (see the package doc): a
+// *partition.VPLayout is edge-disjoint and ignores crossing; any other
+// layout is crossing-aware under crossing (usually
+// Partitioning.CrossingTest), or a plain star-only baseline when crossing
+// is nil.
 func New(layout partition.SiteLayout, crossing sparql.CrossingTest, cfg Config) (*Cluster, error) {
-	c, err := newCoordinator(layout, crossing, cfg)
-	if err != nil {
-		return nil, err
-	}
+	c := newCoordinator(layout, crossing, cfg)
 	start := time.Now()
 	g := layout.Graph()
 	c.stores = make([]*store.Store, layout.NumSites())
@@ -359,16 +317,13 @@ func New(layout partition.SiteLayout, crossing sparql.CrossingTest, cfg Config) 
 // to the given sites — typically internal/transport clients pointed at
 // cmd/mpc-site processes serving the snapshots exported from this layout.
 // The layout stays at the coordinator for classification, localization and
-// (in ModeVP) property placement; len(sites) must equal layout.NumSites().
-// Shipping is measured, not simulated: see Stats.
+// (edge-disjoint layouts) property placement; len(sites) must equal
+// layout.NumSites(). layout and crossing choose the strategy as in New.
 func NewWithSites(layout partition.SiteLayout, crossing sparql.CrossingTest, cfg Config, sites []Site) (*Cluster, error) {
 	if len(sites) != layout.NumSites() {
 		return nil, fmt.Errorf("cluster: %d sites for a %d-partition layout", len(sites), layout.NumSites())
 	}
-	c, err := newCoordinator(layout, crossing, cfg)
-	if err != nil {
-		return nil, err
-	}
+	c := newCoordinator(layout, crossing, cfg)
 	c.sites = append([]Site(nil), sites...)
 	c.stores = make([]*store.Store, len(sites))
 	c.batch = make([]BatchSite, len(sites))
@@ -387,22 +342,16 @@ func NewWithSites(layout partition.SiteLayout, crossing sparql.CrossingTest, cfg
 	return c, nil
 }
 
-// newCoordinator builds the site-independent part of a cluster: mode
-// validation, metrics, layout bookkeeping.
-func newCoordinator(layout partition.SiteLayout, crossing sparql.CrossingTest, cfg Config) (*Cluster, error) {
-	if cfg.NetCostPerTuple == 0 {
-		cfg.NetCostPerTuple = 2 * time.Microsecond
-	}
+// newCoordinator builds the site-independent part of a cluster: the
+// strategy its inputs choose, metrics, layout bookkeeping.
+func newCoordinator(layout partition.SiteLayout, crossing sparql.CrossingTest, cfg Config) *Cluster {
 	c := &Cluster{layout: layout, crossing: crossing, cfg: cfg}
-	if cfg.Mode == ModeVP {
-		vp, ok := layout.(*partition.VPLayout)
-		if !ok {
-			return nil, fmt.Errorf("cluster: ModeVP requires a VPLayout, got %T", layout)
-		}
-		c.vp = vp
-	}
-	if cfg.Mode == ModeCrossingAware && crossing == nil {
-		return nil, fmt.Errorf("cluster: ModeCrossingAware requires a crossing test")
+	if vp, ok := layout.(*partition.VPLayout); ok {
+		c.vp, c.crossing = vp, nil
+	} else if crossing == nil {
+		// A plain baseline knows no crossing set. Every edge counts as
+		// crossing for anchors, bind-round narrowing and path locality.
+		c.plain, c.crossing = true, sparql.AllCrossing
 	}
 	if p, ok := layout.(*partition.Partitioning); ok {
 		// The drift monitor compares the live |E^c| against the offline
@@ -410,21 +359,13 @@ func newCoordinator(layout partition.SiteLayout, crossing sparql.CrossingTest, c
 		c.driftBaseCross = p.NumCrossingEdges()
 	}
 	c.met = newClusterMetrics(cfg.Obs)
-	return c, nil
+	return c
 }
 
-// NewFromPartitioning is a convenience constructor for vertex-disjoint
-// partitionings: the crossing test is derived from the partitioning itself.
+// NewFromPartitioning builds a crossing-aware in-process cluster over p,
+// judged by p's own crossing test (Partitioning.CrossingTest).
 func NewFromPartitioning(p *partition.Partitioning, cfg Config) (*Cluster, error) {
-	g := p.Graph()
-	crossing := func(prop string) bool {
-		id, ok := g.Properties.Lookup(prop)
-		if !ok {
-			return false // unknown property labels no edge at all
-		}
-		return p.IsCrossingProperty(rdf.PropertyID(id))
-	}
-	return New(p, crossing, cfg)
+	return New(p, p.CrossingTest(), cfg)
 }
 
 // NumSites returns the cluster size.
@@ -494,10 +435,9 @@ func (c *Cluster) localizeSites(a *sparql.Analysis) []int {
 	return []int{site}
 }
 
-// evalPerSub evaluates each subquery over its own site list (in parallel
-// unless Sequential), with stateMu released for the calls unless rs is
-// pinned (siteCall), and merges each subquery's per-site tables
-// (mergeSites). An empty site list yields an empty table with the
+// evalPerSub evaluates each subquery over its own site list in parallel,
+// with stateMu released for the calls unless rs is pinned (siteCall), and
+// merges each subquery's per-site tables (mergeSites). An empty site list yields an empty table with the
 // subquery's schema. It serves both the vertex-disjoint path (one site
 // list shared by all subqueries, or localized lists) and the VP path
 // (per-task site lists). anchors, when non-nil, names each subquery's
@@ -552,11 +492,7 @@ func (c *Cluster) evalPerSub(ctx context.Context, rs *readState, subs []*sparql.
 				continue
 			}
 			wg.Add(1)
-			if c.cfg.Sequential {
-				run(site, sis)
-			} else {
-				go run(site, sis)
-			}
+			go run(site, sis)
 		}
 		wg.Wait()
 	}); err != nil {

@@ -164,12 +164,16 @@ func TestStarQueryIndependentEverywhere(t *testing.T) {
 	g := movieGraph()
 	q := sparql.MustParse(`SELECT * WHERE { ?f <starring> ?a . ?f <chronology> ?f2 }`)
 
-	for _, mode := range []Mode{ModeCrossingAware, ModeStarOnly} {
+	for _, plain := range []bool{false, true} {
 		p, err := partition.SubjectHash{}.Partition(g, partition.Options{K: 3, Epsilon: 0.3, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := NewFromPartitioning(p, Config{Mode: mode})
+		crossing := p.CrossingTest()
+		if plain {
+			crossing = nil
+		}
+		c, err := New(p, crossing, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,11 +182,11 @@ func TestStarQueryIndependentEverywhere(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !res.Stats.Independent {
-			t.Fatalf("mode %v: star query not independent", mode)
+			t.Fatalf("plain=%v: star query not independent", plain)
 		}
 		want, _ := fullStore(g).Match(q)
 		if !sameRows(rowSet(g, res.Table), rowSet(g, want)) {
-			t.Fatalf("mode %v: wrong star result", mode)
+			t.Fatalf("plain=%v: wrong star result", plain)
 		}
 	}
 }
@@ -193,7 +197,7 @@ func TestStarOnlyModeDecomposesNonStars(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewFromPartitioning(p, Config{Mode: ModeStarOnly})
+	c, err := New(p, nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +230,7 @@ func TestVPExecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(layout, nil, Config{Mode: ModeVP})
+	c, err := New(layout, nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +261,7 @@ func TestVPSingleSiteIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(layout, nil, Config{Mode: ModeVP})
+	c, err := New(layout, nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,17 +285,6 @@ func TestProjection(t *testing.T) {
 	}
 	if len(res.Table.Vars) != 1 || res.Table.Vars[0] != "a" {
 		t.Fatalf("projection schema = %v", res.Table.Vars)
-	}
-}
-
-func TestConfigValidation(t *testing.T) {
-	g := movieGraph()
-	p, _ := partition.SubjectHash{}.Partition(g, partition.Options{K: 2, Epsilon: 0.3, Seed: 1})
-	if _, err := New(p, nil, Config{Mode: ModeCrossingAware}); err == nil {
-		t.Fatal("missing crossing test accepted")
-	}
-	if _, err := New(p, nil, Config{Mode: ModeVP}); err == nil {
-		t.Fatal("non-VP layout accepted for ModeVP")
 	}
 }
 
@@ -322,8 +315,8 @@ func TestDistributedEqualsCentralized(t *testing.T) {
 			clusters = append(clusters, c)
 		}
 		if p, err := (partition.SubjectHash{}).Partition(g, partition.Options{K: k, Epsilon: 0.3, Seed: 1}); err == nil {
-			for _, mode := range []Mode{ModeCrossingAware, ModeStarOnly} {
-				c, err := NewFromPartitioning(p, Config{Mode: mode})
+			for _, crossing := range []sparql.CrossingTest{p.CrossingTest(), nil} {
+				c, err := New(p, crossing, Config{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -331,14 +324,14 @@ func TestDistributedEqualsCentralized(t *testing.T) {
 			}
 		}
 		if p, err := (partition.MinEdgeCut{}).Partition(g, partition.Options{K: k, Epsilon: 0.3, Seed: 1}); err == nil {
-			c, err := NewFromPartitioning(p, Config{Mode: ModeStarOnly})
+			c, err := New(p, nil, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			clusters = append(clusters, c)
 		}
 		if l, err := (partition.VP{}).Partition(g, partition.Options{K: k, Epsilon: 0.3, Seed: 1}); err == nil {
-			c, err := New(l, nil, Config{Mode: ModeVP})
+			c, err := New(l, nil, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -358,8 +351,8 @@ func TestDistributedEqualsCentralized(t *testing.T) {
 					t.Fatalf("trial %d cluster %d query %s: %v", trial, ci, q, err)
 				}
 				if !sameRows(rowSet(g, res.Table), wantRows) {
-					t.Fatalf("trial %d cluster %d (mode %v) mismatch for\n%s\ngot  %v\nwant %v",
-						trial, ci, c.cfg.Mode, q, rowSet(g, res.Table), wantRows)
+					t.Fatalf("trial %d cluster %d mismatch for\n%s\ngot  %v\nwant %v",
+						trial, ci, q, rowSet(g, res.Table), wantRows)
 				}
 			}
 		}

@@ -139,7 +139,7 @@ func TestCancelledExecuteReturnsPromptly(t *testing.T) {
 	for i := range sites {
 		sites[i] = stallSite{entered: entered}
 	}
-	c, err := NewWithSites(layout, nil, Config{Mode: ModeStarOnly}, sites)
+	c, err := NewWithSites(layout, nil, Config{}, sites)
 	if err != nil {
 		t.Fatal(err)
 	}

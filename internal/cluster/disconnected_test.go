@@ -55,15 +55,16 @@ func TestDisconnectedQueryCrossesSites(t *testing.T) {
 	want := []string{"[w=b2 x=a1 y=b1 z=a2]"}
 
 	modes := []struct {
-		name string
-		cfg  Config
+		name     string
+		crossing sparql.CrossingTest // nil: the plain star-only baseline
+		cfg      Config
 	}{
-		{"crossing-aware", Config{}},
-		{"star-only", Config{Mode: ModeStarOnly}},
-		{"star-only+semijoin", Config{Mode: ModeStarOnly, Semijoin: true}},
+		{"crossing-aware", p.CrossingTest(), Config{}},
+		{"star-only", nil, Config{}},
+		{"star-only+semijoin", nil, Config{Semijoin: true}},
 	}
 	for _, m := range modes {
-		c, err := NewFromPartitioning(p, m.cfg)
+		c, err := New(p, m.crossing, m.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +78,7 @@ func TestDisconnectedQueryCrossesSites(t *testing.T) {
 		if res.Stats.Independent {
 			t.Errorf("%s: disconnected query reported independent", m.name)
 		}
-		if m.cfg.Mode == ModeCrossingAware && res.Stats.Class != sparql.ClassNonIEQ {
+		if m.crossing != nil && res.Stats.Class != sparql.ClassNonIEQ {
 			t.Errorf("%s: class %v, want non-IEQ", m.name, res.Stats.Class)
 		}
 	}

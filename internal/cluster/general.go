@@ -415,8 +415,9 @@ func (ge *genExec) evalPath(pp *sparql.PathPattern) (*store.Table, error) {
 // closure is complete on its own (a path over internal edges cannot leave
 // the partition — the same argument as Theorem 5's internal case) and the
 // per-site MatchPath results union directly. Anything else — crossing
-// properties, VP layouts, remote sites — goes through the coordinator-side
-// closure over the distributed BGP machinery.
+// properties (every property, for a plain baseline), VP layouts, remote
+// sites — goes through the coordinator-side closure over the distributed
+// BGP machinery.
 func (ge *genExec) evalPathNode(pp *sparql.PathPattern) (*store.Table, error) {
 	switch pp.Path.Kind {
 	case sparql.PathIRI:
@@ -436,7 +437,7 @@ func (ge *genExec) evalPathNode(pp *sparql.PathPattern) (*store.Table, error) {
 	}
 
 	c := ge.c
-	if c.cfg.Mode != ModeVP && c.crossing != nil && c.localStores() &&
+	if c.crossing != nil && c.localStores() &&
 		allInternal(pp.Path.Properties(), c.crossing) {
 		t0 := time.Now()
 		tabs := make([]*store.Table, len(c.stores))

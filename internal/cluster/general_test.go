@@ -59,7 +59,7 @@ func TestGeneralizedAcrossModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	starOnly, err := NewFromPartitioning(pMPC, Config{Mode: ModeStarOnly})
+	starOnly, err := New(pMPC, nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestGeneralizedAcrossModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vp, err := New(vpLayout, nil, Config{Mode: ModeVP})
+	vp, err := New(vpLayout, nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

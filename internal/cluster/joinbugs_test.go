@@ -72,7 +72,7 @@ func TestEmptyTableJoinsAgainstPropertyBinding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(layout, nil, Config{Mode: ModeVP})
+	c, err := New(layout, nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestVPMultipleUnknownProperties(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(layout, nil, Config{Mode: ModeVP})
+	c, err := New(layout, nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,22 +288,20 @@ func TestInstrumentationLeavesResultsIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var cs []*Cluster
-		for _, cfg := range []Config{
-			{Obs: reg},
-			{Mode: ModeStarOnly, Semijoin: true, Obs: reg},
-		} {
-			c, err := NewFromPartitioning(p, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cs = append(cs, c)
+		aware, err := NewFromPartitioning(p, Config{Obs: reg})
+		if err != nil {
+			t.Fatal(err)
 		}
+		starOnly, err := New(p, nil, Config{Semijoin: true, Obs: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs := []*Cluster{aware, starOnly}
 		l, err := partition.VP{}.Partition(g, partition.Options{K: 3, Epsilon: 0.3, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := New(l, nil, Config{Mode: ModeVP, Obs: reg})
+		c, err := New(l, nil, Config{Obs: reg})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,7 +21,7 @@ type clusterMetrics struct {
 
 	decompNS *obs.Histogram // query.decompose_ns (QDT)
 	localNS  *obs.Histogram // query.local_ns (LET)
-	joinNS   *obs.Histogram // query.join_ns (JT, incl. simulated shipping)
+	joinNS   *obs.Histogram // query.join_ns (JT: coordinator compute)
 	wireNS   *obs.Histogram // query.wire_ns: measured per-query wire time (transport mode)
 	totalNS  *obs.Histogram // query.total_ns
 

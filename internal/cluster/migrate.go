@@ -229,11 +229,7 @@ func (c *Cluster) migrate(ctx context.Context, siteTriples [][]rdf.Triple, inser
 			ops[j] = rdf.ResolvedUpdate{Insert: insert, T: t}
 		}
 		wg.Add(1)
-		if c.cfg.Sequential {
-			run(i, MigrateBatch{Seq: seq, Ops: ops})
-		} else {
-			go run(i, MigrateBatch{Seq: seq, Ops: ops})
-		}
+		go run(i, MigrateBatch{Seq: seq, Ops: ops})
 	}
 	wg.Wait()
 	return firstErr

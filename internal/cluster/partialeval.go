@@ -87,7 +87,7 @@ func (c *Cluster) ExecutePartialEval(q *sparql.Query) (*Result, error) {
 		sub := subPattern(q, mask)
 		for site := range c.sites {
 			wg.Add(1)
-			run := func(mi, site int, sub *sparql.Query) {
+			go func() {
 				defer wg.Done()
 				owned := func(tr rdf.Triple) bool {
 					return int(p.Assign[tr.S]) == site
@@ -99,12 +99,7 @@ func (c *Cluster) ExecutePartialEval(q *sparql.Query) (*Result, error) {
 					firstErr = err
 				}
 				pieceParts[mi][site] = tab
-			}
-			if c.cfg.Sequential {
-				run(mi, site, sub)
-			} else {
-				go run(mi, site, sub)
-			}
+			}()
 		}
 	}
 	wg.Wait()
@@ -165,8 +160,7 @@ func (c *Cluster) ExecutePartialEval(q *sparql.Query) (*Result, error) {
 			return nil, err
 		}
 	}
-	stats.NetTime = time.Duration(stats.TuplesShipped) * c.cfg.NetCostPerTuple
-	stats.JoinTime = time.Since(t2) + stats.NetTime
+	stats.JoinTime = time.Since(t2)
 	c.met.observeStats(&stats)
 	return &Result{Table: project(final, q), Stats: stats}, nil
 }

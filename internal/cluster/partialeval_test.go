@@ -250,7 +250,7 @@ func TestPartialEvalRejectsVPLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(l, nil, Config{Mode: ModeVP})
+	c, err := New(l, nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,7 +79,7 @@ func (p *Plan) anchor(si int) string {
 	return p.Anchors[si]
 }
 
-// Plan classifies and decomposes q for this cluster's mode without
+// Plan classifies and decomposes q for this cluster's strategy without
 // executing anything. The plan is safe to execute concurrently and
 // repeatedly via ExecutePlan, including across committed updates (it is
 // replanned under the hood when stale).
@@ -122,17 +122,17 @@ func (c *Cluster) planLocked(q *sparql.Query) *Plan {
 	return p
 }
 
-// planBGP plans a conjunctive query for this cluster's mode.
+// planBGP plans a conjunctive query for this cluster's strategy.
 func (c *Cluster) planBGP(q *sparql.Query) *Plan {
-	switch c.cfg.Mode {
-	case ModeVP:
+	if c.vp != nil {
 		return c.planVP(q)
-	case ModeStarOnly:
-		// Every edge counts as crossing here, so a star's anchor is its
-		// centre: Definition 3.3 puts every edge incident to the centre's
-		// binding at that vertex's home site. The star-only baselines run
-		// each (sub)query at every site.
-		return c.planVertexDisjoint(q, sparql.ClassifyPlain(q), nil, sparql.DecomposeStars, sparql.AllCrossing, false)
+	}
+	if c.plain {
+		// Every edge counts as crossing here (c.crossing is AllCrossing),
+		// so a star's anchor is its centre: Definition 3.3 puts every edge
+		// incident to the centre's binding at that vertex's home site. The
+		// plain baselines run each (sub)query at every site.
+		return c.planVertexDisjoint(q, sparql.ClassifyPlain(q), nil, sparql.DecomposeStars, c.crossing, false)
 	}
 	a := sparql.Analyze(q, c.crossing)
 	decomp := func(q *sparql.Query) []*sparql.Query {
@@ -424,13 +424,6 @@ func (c *Cluster) runBGPPlan(ctx context.Context, rs *readState, p *Plan, tr *ob
 			return nil, err
 		}
 		stats.JoinTime += time.Since(t2)
-		if !c.remote {
-			// Simulated shipping cost; with a real transport the measured
-			// BytesShipped/WireTime above replace the model.
-			net := time.Duration(shipped) * c.cfg.NetCostPerTuple
-			stats.NetTime += net
-			stats.JoinTime += net
-		}
 	}
 	return final, nil
 }

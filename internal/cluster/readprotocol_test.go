@@ -47,10 +47,7 @@ func hookedCluster(t *testing.T, hook func()) (*Cluster, *partition.Partitioning
 			sites[i] = hookSite{ls, hook}
 		}
 	}
-	crossing := func(prop string) bool {
-		id, ok := g.Properties.Lookup(prop)
-		return ok && p.IsCrossingProperty(rdf.PropertyID(id))
-	}
+	crossing := p.CrossingTest()
 	reg := obs.NewRegistry()
 	c, err := NewWithSites(p, crossing, Config{Obs: reg}, sites)
 	if err != nil {

@@ -61,11 +61,11 @@ func TestSemijoinPreservesResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := NewFromPartitioning(p, Config{Mode: ModeStarOnly})
+	plain, err := New(p, nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	semi, err := NewFromPartitioning(p, Config{Mode: ModeStarOnly, Semijoin: true})
+	semi, err := New(p, nil, Config{Semijoin: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,8 +111,8 @@ func TestSemijoinReducesShipping(t *testing.T) {
 	q := sparql.MustParse(`SELECT * WHERE {
 		<a0> <rare> ?b . ?b <common> ?c . ?c <common2> ?d }`)
 
-	plain, _ := NewFromPartitioning(p, Config{Mode: ModeStarOnly})
-	semi, _ := NewFromPartitioning(p, Config{Mode: ModeStarOnly, Semijoin: true})
+	plain, _ := New(p, nil, Config{})
+	semi, _ := New(p, nil, Config{Semijoin: true})
 	a, err := plain.Execute(q)
 	if err != nil {
 		t.Fatal(err)
@@ -151,11 +151,8 @@ func TestKHopClusterCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	crossing := func(prop string) bool {
-		id, ok := g.Properties.Lookup(prop)
-		return ok && p.IsCrossingProperty(rdf.PropertyID(id))
-	}
-	c, err := New(l, crossing, Config{Mode: ModeCrossingAware})
+	crossing := p.CrossingTest()
+	c, err := New(l, crossing, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,13 +8,6 @@ import (
 	"mpc/internal/sparql"
 )
 
-func TestModeString(t *testing.T) {
-	if ModeCrossingAware.String() != "crossing-aware" ||
-		ModeStarOnly.String() != "star-only" || ModeVP.String() != "vp" {
-		t.Fatal("mode names")
-	}
-}
-
 func TestStatsTotal(t *testing.T) {
 	s := Stats{DecompTime: time.Millisecond, LocalTime: 2 * time.Millisecond,
 		JoinTime: 3 * time.Millisecond}
@@ -29,7 +22,7 @@ func TestClusterAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewFromPartitioning(p, Config{Mode: ModeStarOnly})
+	c, err := New(p, nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,64 +44,13 @@ func TestClusterAccessors(t *testing.T) {
 	}
 }
 
-func TestSequentialModeMatchesParallel(t *testing.T) {
-	g := movieGraph()
-	p, err := (partition.SubjectHash{}).Partition(g, partition.Options{K: 2, Epsilon: 0.3, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, _ := NewFromPartitioning(p, Config{Mode: ModeStarOnly})
-	seq, _ := NewFromPartitioning(p, Config{Mode: ModeStarOnly, Sequential: true})
-	q := sparql.MustParse(`SELECT * WHERE { ?f <starring> ?a . ?a <birthPlace> ?c }`)
-	a, err := par.Execute(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := seq.Execute(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameRows(rowSet(g, a.Table), rowSet(g, b.Table)) {
-		t.Fatal("sequential and parallel execution disagree")
-	}
-}
-
-func TestNetCostPerTupleScalesJoinTime(t *testing.T) {
-	g := movieGraph()
-	p, err := (partition.SubjectHash{}).Partition(g, partition.Options{K: 2, Epsilon: 0.3, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cheap, _ := NewFromPartitioning(p, Config{Mode: ModeStarOnly, NetCostPerTuple: time.Microsecond})
-	costly, _ := NewFromPartitioning(p, Config{Mode: ModeStarOnly, NetCostPerTuple: time.Millisecond})
-	q := sparql.MustParse(`SELECT * WHERE { ?f <starring> ?a . ?a <birthPlace> ?c . ?c <foundingDate> ?d }`)
-	a, err := cheap.Execute(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := costly.Execute(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Stats.TuplesShipped == 0 || a.Stats.TuplesShipped != b.Stats.TuplesShipped {
-		t.Fatalf("shipping accounting: %d vs %d", a.Stats.TuplesShipped, b.Stats.TuplesShipped)
-	}
-	if b.Stats.NetTime <= a.Stats.NetTime {
-		t.Fatalf("NetTime did not scale with per-tuple cost: %v vs %v",
-			a.Stats.NetTime, b.Stats.NetTime)
-	}
-	if b.Stats.JoinTime < b.Stats.NetTime {
-		t.Fatal("JoinTime must include NetTime")
-	}
-}
-
 func TestVPUnknownPropertyAmongKnown(t *testing.T) {
 	g := movieGraph()
 	layout, err := (partition.VP{}).Partition(g, partition.Options{K: 2, Epsilon: 0.3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(layout, nil, Config{Mode: ModeVP})
+	c, err := New(layout, nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -193,11 +193,7 @@ func (c *Cluster) applyTraceLocked(ctx context.Context, delta rdf.DictDelta, tra
 			continue
 		}
 		wg.Add(1)
-		if c.cfg.Sequential {
-			apply(i)
-		} else {
-			go apply(i)
-		}
+		go apply(i)
 	}
 	wg.Wait()
 	return firstErr

@@ -126,7 +126,7 @@ func TestDriftReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(p, nil, Config{Mode: ModeStarOnly, BalanceEpsilon: 0.1})
+	c, err := New(p, nil, Config{BalanceEpsilon: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestDriftReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vc, err := New(vl, nil, Config{Mode: ModeVP})
+	vc, err := New(vl, nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestVPApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(vl, nil, Config{Mode: ModeVP})
+	c, err := New(vl, nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestApplyShipsEachSiteItsOwnOps(t *testing.T) {
 	for i := range sites {
 		sites[i] = recordingSite{localSite{store.New(g, p.SiteTriples(i))}, &got[i]}
 	}
-	c, err := NewWithSites(p, func(string) bool { return false }, Config{Sequential: true}, sites)
+	c, err := NewWithSites(p, func(string) bool { return false }, Config{}, sites)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,15 +116,21 @@ func NewEnv(g *rdf.Graph, o Options) (*Env, error) {
 	}
 
 	e := &Env{G: g, Opts: o, MPC: mpcP, Hash: hashP, VPL: vpl}
-	e.crossing = crossingTest(mpcP)
+	e.crossing = mpcP.CrossingTest()
 
 	// Every cluster gets its own clone of its layout: all combos share the
 	// one graph (and thus one update stream applies to the data exactly
 	// once), but each cluster maintains its clone through ApplyShared
 	// without stepping on the others — or on e.MPC/e.Hash/e.VPL, which
-	// ApplyBatch maintains directly for the invariant checks.
-	add := func(name string, p *partition.Partitioning, cfg cluster.Config, partial bool) error {
-		c, err := cluster.NewFromPartitioning(p.Clone(), cfg)
+	// ApplyBatch maintains directly for the invariant checks. A plain
+	// combination is built without a crossing test (the star-only baseline).
+	add := func(name string, p *partition.Partitioning, plain bool, cfg cluster.Config, partial bool) error {
+		p = p.Clone()
+		var crossing sparql.CrossingTest
+		if !plain {
+			crossing = p.CrossingTest()
+		}
+		c, err := cluster.New(p, crossing, cfg)
 		if err != nil {
 			return fmt.Errorf("oracle: %s: %w", name, err)
 		}
@@ -135,24 +141,23 @@ func NewEnv(g *rdf.Graph, o Options) (*Env, error) {
 		name string
 		p    *partition.Partitioning
 	}{{"mpc", mpcP}, {"hash", hashP}} {
-		if err := add(pc.name+"/crossing-aware", pc.p, cluster.Config{}, false); err != nil {
+		if err := add(pc.name+"/crossing-aware", pc.p, false, cluster.Config{}, false); err != nil {
 			return nil, err
 		}
-		if err := add(pc.name+"/star-only+semijoin", pc.p,
-			cluster.Config{Mode: cluster.ModeStarOnly, Semijoin: true}, false); err != nil {
+		if err := add(pc.name+"/star-only+semijoin", pc.p, true, cluster.Config{Semijoin: true}, false); err != nil {
 			return nil, err
 		}
-		if err := add(pc.name+"/partial-eval", pc.p, cluster.Config{}, true); err != nil {
+		if err := add(pc.name+"/partial-eval", pc.p, false, cluster.Config{}, true); err != nil {
 			return nil, err
 		}
 	}
-	vc, err := cluster.New(vpl.Clone(), nil, cluster.Config{Mode: cluster.ModeVP})
+	vc, err := cluster.New(vpl.Clone(), nil, cluster.Config{})
 	if err != nil {
 		return nil, fmt.Errorf("oracle: vp: %w", err)
 	}
 	e.combos = append(e.combos, combo{"vp", vc, false})
 	if o.Broadcast {
-		if err := add("mpc/crossing-aware+broadcast", mpcP,
+		if err := add("mpc/crossing-aware+broadcast", mpcP, false,
 			cluster.Config{Broadcast: true}, false); err != nil {
 			return nil, err
 		}
@@ -224,7 +229,7 @@ func (e *Env) addBlockCombos(mpcP *partition.Partitioning) error {
 		sites[i] = cluster.SiteForStore(st)
 	}
 	bp := mpcP.Clone()
-	bc, err := cluster.NewWithSites(bp, crossingTest(bp), cluster.Config{}, sites)
+	bc, err := cluster.NewWithSites(bp, bp.CrossingTest(), cluster.Config{}, sites)
 	if err != nil {
 		return fmt.Errorf("oracle: block cluster: %w", err)
 	}
@@ -336,7 +341,7 @@ func (e *Env) tcpCluster(p *partition.Partitioning, stores []*store.Store) (*clu
 	if err := transport.Verify(clients, p); err != nil {
 		return nil, fmt.Errorf("oracle: %w", err)
 	}
-	return cluster.NewWithSites(p, crossingTest(p), cluster.Config{}, transport.Sites(clients))
+	return cluster.NewWithSites(p, p.CrossingTest(), cluster.Config{}, transport.Sites(clients))
 }
 
 // Close stops any loopback-TCP servers and clients the Env spawned.
@@ -554,7 +559,7 @@ func (e *Env) checkInvariants(q *sparql.Query, full *Bindings) []string {
 			name string
 			p    *partition.Partitioning
 		}{{"mpc", e.MPC}, {"hash", e.Hash}} {
-			class := sparql.Classify(q, crossingTest(pc.p))
+			class := sparql.Classify(q, pc.p.CrossingTest())
 			if !class.IsIEQ() {
 				out = append(out, fmt.Sprintf("invariant: star query classified %v under %s (Theorem 5)", class, pc.name))
 			} else if strict && class != sparql.ClassInternal && class != sparql.ClassTypeII {
@@ -666,17 +671,4 @@ func (e *Env) joinSubEvals(subs []*sparql.Query) (*Bindings, error) {
 		}
 	}
 	return acc, nil
-}
-
-// crossingTest derives the crossing-property test of a vertex-disjoint
-// partitioning (the same derivation cluster.NewFromPartitioning uses).
-func crossingTest(p *partition.Partitioning) sparql.CrossingTest {
-	g := p.Graph()
-	return func(prop string) bool {
-		id, ok := g.Properties.Lookup(prop)
-		if !ok {
-			return false
-		}
-		return p.IsCrossingProperty(rdf.PropertyID(id))
-	}
 }

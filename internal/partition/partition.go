@@ -244,6 +244,18 @@ func (p *Partitioning) IsCrossingProperty(pid rdf.PropertyID) bool {
 	return int(pid) < len(p.crossCount) && p.crossCount[pid] > 0
 }
 
+// CrossingTest returns IsCrossingProperty keyed by property IRI, the form
+// query classification takes (it is assignable to sparql.CrossingTest). A
+// property the graph does not know labels no edge, so it is not crossing.
+// The test reads the live counts: an update that moves a property into
+// L_cross changes its answer.
+func (p *Partitioning) CrossingTest() func(prop string) bool {
+	return func(prop string) bool {
+		id, ok := p.g.Properties.Lookup(prop)
+		return ok && p.IsCrossingProperty(rdf.PropertyID(id))
+	}
+}
+
 // NumCrossingProperties returns |L_cross|.
 func (p *Partitioning) NumCrossingProperties() int { return p.numCrossProps }
 

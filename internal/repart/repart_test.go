@@ -196,7 +196,7 @@ func TestRepartitionerGuards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vc, err := cluster.New(vpl, nil, cluster.Config{Mode: cluster.ModeVP})
+	vc, err := cluster.New(vpl, nil, cluster.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

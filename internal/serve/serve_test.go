@@ -43,7 +43,7 @@ func testClusters(t *testing.T) (fast, slow *cluster.Cluster, release chan struc
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err = cluster.New(layout, nil, cluster.Config{Mode: cluster.ModeStarOnly})
+	fast, err = cluster.New(layout, nil, cluster.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func testClusters(t *testing.T) (fast, slow *cluster.Cluster, release chan struc
 	for i := range sites {
 		sites[i] = blockingSite{st: store.New(g, layout.SiteTriples(i)), release: release}
 	}
-	slow, err = cluster.NewWithSites(layout, nil, cluster.Config{Mode: cluster.ModeStarOnly}, sites)
+	slow, err = cluster.NewWithSites(layout, nil, cluster.Config{}, sites)
 	if err != nil {
 		t.Fatal(err)
 	}

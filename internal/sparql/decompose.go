@@ -144,7 +144,9 @@ func DecomposeNonIEQ(q *Query, isCrossing CrossingTest) []*Query {
 // grouped by their subject term. This is the decomposition used by systems
 // that can only execute star queries independently (SHAPE, H-RDF-3X,
 // TriAD), against which the paper compares subquery counts. Subqueries are
-// returned in order of first appearance.
+// returned in order of first appearance. Algorithm 2 under AllCrossing is
+// not a drop-in for it: it agrees on which queries are IEQs, but it can
+// return fewer subqueries (a 3-hop path gives 3 stars but 2 Alg. 2 pieces).
 func DecomposeStars(q *Query) []*Query {
 	order := []string{}
 	groups := map[string]*Query{}

@@ -12,7 +12,6 @@ import (
 	"mpc/internal/datagen"
 	"mpc/internal/obs"
 	"mpc/internal/partition"
-	"mpc/internal/rdf"
 	"mpc/internal/sparql"
 	"mpc/internal/store"
 	"mpc/internal/workload"
@@ -90,13 +89,7 @@ func TestLoopbackBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			crossing := func(prop string) bool {
-				id, ok := g.Properties.Lookup(prop)
-				if !ok {
-					return false
-				}
-				return p.IsCrossingProperty(rdf.PropertyID(id))
-			}
+			crossing := p.CrossingTest()
 			hp, err := (partition.SubjectHash{}).Partition(g, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -114,8 +107,8 @@ func TestLoopbackBitIdentical(t *testing.T) {
 			}
 			setups := []setup{
 				{"crossing-aware", p, crossing, cluster.Config{}},
-				{"star-only+semijoin", hp, nil, cluster.Config{Mode: cluster.ModeStarOnly, Semijoin: true}},
-				{"vp", vl, nil, cluster.Config{Mode: cluster.ModeVP}},
+				{"star-only+semijoin", hp, nil, cluster.Config{Semijoin: true}},
+				{"vp", vl, nil, cluster.Config{}},
 			}
 
 			for _, s := range setups {
@@ -133,15 +126,11 @@ func TestLoopbackBitIdentical(t *testing.T) {
 						t.Errorf("remote execution differs from in-process execution")
 					}
 
-					// Remote stats must carry measured wire traffic and no
-					// simulated shipping.
+					// Remote stats must carry measured wire traffic.
 					for _, q := range queries {
 						res, err := remote.Execute(q.Query)
 						if err != nil {
 							t.Fatal(err)
-						}
-						if res.Stats.NetTime != 0 {
-							t.Fatalf("%s: remote cluster reported simulated NetTime %v", q.Name, res.Stats.NetTime)
 						}
 						if res.Stats.BytesShipped <= 0 {
 							t.Fatalf("%s: remote cluster reported no bytes shipped", q.Name)
@@ -165,10 +154,7 @@ func TestSiteRestartSameSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	crossing := func(prop string) bool {
-		id, ok := g.Properties.Lookup(prop)
-		return ok && p.IsCrossingProperty(rdf.PropertyID(id))
-	}
+	crossing := p.CrossingTest()
 
 	// open serves site i's snapshot on addr and returns what stops it.
 	dir := t.TempDir()

@@ -15,7 +15,6 @@ import (
 	"mpc/internal/core"
 	"mpc/internal/datagen"
 	"mpc/internal/partition"
-	"mpc/internal/rdf"
 	"mpc/internal/workload"
 )
 
@@ -160,13 +159,7 @@ func TestLoopbackConcurrentBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	crossing := func(prop string) bool {
-		id, ok := g.Properties.Lookup(prop)
-		if !ok {
-			return false
-		}
-		return p.IsCrossingProperty(rdf.PropertyID(id))
-	}
+	crossing := p.CrossingTest()
 	remote := remoteCluster(t, p, crossing, cluster.Config{})
 
 	serial := make(map[string]string, len(queries))

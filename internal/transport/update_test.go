@@ -265,12 +265,12 @@ func TestLoopbackUpdateBitIdentical(t *testing.T) {
 	// Two layout objects over the same graph: same seed, so identical
 	// placement, but independently mutable by each cluster.
 	local, err := cluster.New(mustPartition(t, g, 3), nil,
-		cluster.Config{Mode: cluster.ModeStarOnly, Semijoin: true})
+		cluster.Config{Semijoin: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	remote := remoteCluster(t, mustPartition(t, g, 3), nil,
-		cluster.Config{Mode: cluster.ModeStarOnly, Semijoin: true})
+		cluster.Config{Semijoin: true})
 
 	queries := workload.LUBMQueries(g, 1)
 

@@ -11,17 +11,6 @@ import (
 	"mpc/internal/sparql"
 )
 
-func crossingTestOf(p *partition.Partitioning) sparql.CrossingTest {
-	g := p.Graph()
-	return func(prop string) bool {
-		id, ok := g.Properties.Lookup(prop)
-		if !ok {
-			return false
-		}
-		return p.IsCrossingProperty(rdf.PropertyID(id))
-	}
-}
-
 func TestLUBMQueriesShape(t *testing.T) {
 	g := datagen.LUBM{}.Generate(20000, 1)
 	qs := LUBMQueries(g, 1)
@@ -49,7 +38,7 @@ func TestLUBMQueriesAllIEQUnderMPC(t *testing.T) {
 		t.Fatal(err)
 	}
 	qs := LUBMQueries(g, 1)
-	ct := crossingTestOf(p)
+	ct := p.CrossingTest()
 	for _, q := range qs {
 		if c := sparql.Classify(q.Query, ct); !c.IsIEQ() {
 			t.Errorf("%s is %v under MPC, want IEQ (crossing props: %d)",
@@ -81,7 +70,7 @@ func TestYAGO2Queries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := IEQShare(qs, crossingTestOf(p)); s != 1.0 {
+	if s := IEQShare(qs, p.CrossingTest()); s != 1.0 {
 		t.Fatalf("MPC IEQ share = %.2f, want 1.0", s)
 	}
 	// None are IEQs for star-only systems.
@@ -105,9 +94,9 @@ func TestBio2RDFQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := IEQShare(qs, crossingTestOf(p)); s != 1.0 {
+	if s := IEQShare(qs, p.CrossingTest()); s != 1.0 {
 		for _, q := range qs {
-			t.Logf("%s: %v", q.Name, sparql.Classify(q.Query, crossingTestOf(p)))
+			t.Logf("%s: %v", q.Name, sparql.Classify(q.Query, p.CrossingTest()))
 		}
 		t.Fatalf("MPC IEQ share = %.2f, want 1.0", s)
 	}
@@ -177,7 +166,7 @@ func TestTable3Ordering(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mpcShare := IEQShare(qs, crossingTestOf(p))
+		mpcShare := IEQShare(qs, p.CrossingTest())
 		starShare := StarShare(qs)
 		if mpcShare <= starShare {
 			t.Errorf("%s: MPC IEQ share %.3f not above star share %.3f",
