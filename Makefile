@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race check flake cover bench bench-full bench-json bench-smoke bench-compare bench-online bench-throughput bench-scale bench-repart benchmark experiments transport-race transport-smoke server-smoke scale-smoke repart-smoke oracle oracle-race update-race repart-race sparql11-race clean
+.PHONY: all build test test-race check flake cover bench bench-full bench-json bench-smoke bench-compare bench-online bench-scale benchmark benchmark-smoke experiments transport-race transport-smoke server-smoke scale-smoke repart-smoke oracle oracle-race update-race repart-race sparql11-race clean
 
 all: build test
 
@@ -50,23 +50,10 @@ bench-json:
 bench-online:
 	$(GO) run ./cmd/mpc-bench -exp online -triples 50000 -json BENCH_online.json
 
-# Concurrent-serving measurements (serial vs closed-loop vs open-loop over
-# loopback TCP sites); writes BENCH_throughput.json.
-bench-throughput:
-	$(GO) run ./cmd/mpc-bench -exp throughput -triples 50000 -json BENCH_throughput.json
-
 # Flat-vs-block serving comparison (heap at load, peak heap, digest
 # identity); writes BENCH_scale.json.
 bench-scale:
 	$(GO) run ./cmd/mpc-bench -exp scale -triples 1000000 -json BENCH_scale.json
-
-# Online adaptive repartitioning: drift a live cluster over loopback TCP
-# sites until the policy fires, migrate with concurrent query load, assert
-# zero failed queries and digest identity; writes BENCH_repart.json. The
-# 20k/k=8 layout carries a Definition 4.1 violation at install time, so
-# the run also demonstrates the cap being restored.
-bench-repart:
-	$(GO) run ./cmd/mpc-bench -exp repart -triples 20000 -k 8 -json BENCH_repart.json
 
 # The repo benchmark (BENCHMARK.json): the four workloads over the real
 # serving path and the offline pipeline, as the PR driver runs it. Takes
@@ -74,6 +61,12 @@ bench-repart:
 # traced per-layer pass and -selfcheck.
 benchmark:
 	bash benchmark/run.sh
+
+# One-second pass of every workload: the benchmark exits 1 on any answer
+# that differs from its golden, so this checks answers over mmap block
+# stores and TCP sites at benchmark scale.
+benchmark-smoke:
+	bash benchmark/run.sh -seconds 1
 
 # Alternating-pair comparison of the repo benchmark between BASE and the
 # working tree: median, IQR, win share and BENCHMARK.json's bound check per
@@ -108,10 +101,10 @@ oracle-race:
 
 # Generalized SPARQL 1.1 operator corpus under the race detector: the
 # parser/generator/classification tests for OPTIONAL, UNION, FILTER and
-# property paths, the operator-tree evaluator in internal/cluster and
-# internal/store (left-outer joins, union merge, filter pushdown, path
-# closures), and the generalized differential corpora cross-checked
-# against the naive reference evaluator (internal/oracle).
+# property paths, the operator-tree evaluator in internal/cluster (left-outer
+# joins, union merge, the coordinator's path closure), the store's filter
+# pushdown, and the generalized differential corpora cross-checked against
+# the naive reference evaluator (internal/oracle).
 sparql11-race:
 	$(GO) test -race -count=1 \
 		-run 'General|Optional|Union|Filter|Path|RandomQuery|EvalQuery|DifferentialCorpus|QueryCodec' \

@@ -8,24 +8,22 @@
 //	mpc-bench -exp fig8 -logqueries 1000
 //
 // Experiments: table2 table3 table4 table5 table6 table7 fig7 fig8 fig9
-// fig10 fig11 ablations offline online throughput scale repart all.
-// Figures 9 and 10 share one runner (fig9 and fig10 are aliases). The
-// offline experiment sweeps the -workers knob over {1, 2, NumCPU}; the
-// online experiment measures the query path (latency quantiles per
-// executability class and per operator class — the GQ1–GQ6 generalized
-// queries ride along with each dataset's workload — plus join shapes,
-// allocation microbenchmarks, and a transport section that re-runs every
-// combination over loopback TCP sites); the throughput experiment
-// drives serial, closed-loop, and open-loop load through the concurrent
-// serving stack (scheduler + result cache + pipelined transport over
-// loopback TCP); the scale experiment serves the same MPC layout from
-// heap-resident flat stores and from mmap-backed block snapshots and
-// compares load-time heap and result digests; the repart experiment drifts
-// a live cluster until the repartitioning policy fires and measures the
-// online migration (vertices moved, bytes shipped, cutover pause, query
-// latency during the window, digest identity). All five write
-// machine-readable results to the -json path, defaulting to
-// BENCH_<exp>.json.
+// fig10 fig11 ablations offline online scale all. Figures 9 and 10 share
+// one runner (fig9 and fig10 are aliases). The offline experiment sweeps
+// the -workers knob over {1, 2, NumCPU}; the online experiment measures the
+// query path (latency quantiles per executability class and per operator
+// class — the GQ1–GQ6 generalized queries ride along with each dataset's
+// workload — plus join shapes, allocation microbenchmarks, and a transport
+// section that re-runs every combination over loopback TCP sites); the
+// scale experiment serves the same MPC layout from heap-resident flat
+// stores and from mmap-backed block snapshots and compares load-time heap
+// and result digests. All three write machine-readable results to the
+// -json path, defaulting to BENCH_<exp>.json.
+//
+// Concurrent serving (scheduler, result cache, admission control) and
+// online repartitioning are measured by the repository benchmark
+// (benchmark/, `make benchmark`, `make bench-compare`) and checked end to
+// end by `make server-smoke` and `make repart-smoke`.
 //
 // The latencies of Tables IV/V, Figures 7–11 and the semijoin ablation add
 // the paper's network model to the measured join time: 2µs per
@@ -61,7 +59,7 @@ func main() {
 	logQueries := flag.Int("logqueries", 200, "query-log sample size")
 	scales := flag.String("scales", "25000,50000,100000", "comma-separated scales for fig9/fig10")
 	workers := flag.Int("workers", 0, "worker count for parallel offline phases (0 = NumCPU, 1 = serial)")
-	jsonPath := flag.String("json", "", "output path for the offline/online experiment's JSON (default BENCH_<exp>.json)")
+	jsonPath := flag.String("json", "", "output path for the offline/online/scale experiment's JSON (default BENCH_<exp>.json)")
 	metricsPath := flag.String("metrics", "", "dump the metrics registry as JSON to this path after the run (\"-\" = stdout)")
 	obsListen := flag.String("obs-listen", "", "serve /debug/metrics and /debug/pprof on this address (e.g. localhost:6060)")
 	flag.Parse()
@@ -124,6 +122,19 @@ func dumpMetrics(reg *obs.Registry, path string) error {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "[metrics written to %s]\n", path)
+	return nil
+}
+
+// writeJSON saves an experiment's result through write, at path or, when
+// path is empty, at BENCH_<exp>.json.
+func writeJSON(exp, path string, write func(path string) error) error {
+	if path == "" {
+		path = "BENCH_" + exp + ".json"
+	}
+	if err := write(path); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "[%s results written to %s]\n", exp, path)
 	return nil
 }
 
@@ -199,70 +210,27 @@ func run(exp string, cfg bench.Config, jsonPath string) error {
 				return err
 			}
 			bench.RenderOffline(out, res)
-			path := jsonPath
-			if path == "" {
-				path = "BENCH_offline.json"
-			}
-			if err := bench.WriteOfflineJSON(path, res); err != nil {
+			if err := writeJSON(name, jsonPath, func(path string) error { return bench.WriteOfflineJSON(path, res) }); err != nil {
 				return err
 			}
-			fmt.Fprintf(os.Stderr, "[offline timings written to %s]\n", path)
 		case "online":
 			res, err := bench.RunOnline(cfg)
 			if err != nil {
 				return err
 			}
 			bench.RenderOnline(out, res)
-			path := jsonPath
-			if path == "" {
-				path = "BENCH_online.json"
-			}
-			if err := bench.WriteOnlineJSON(path, res); err != nil {
+			if err := writeJSON(name, jsonPath, func(path string) error { return bench.WriteOnlineJSON(path, res) }); err != nil {
 				return err
 			}
-			fmt.Fprintf(os.Stderr, "[online measurements written to %s]\n", path)
-		case "throughput":
-			res, err := bench.RunThroughput(cfg)
-			if err != nil {
-				return err
-			}
-			bench.RenderThroughput(out, res)
-			path := jsonPath
-			if path == "" {
-				path = "BENCH_throughput.json"
-			}
-			if err := bench.WriteThroughputJSON(path, res); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "[throughput measurements written to %s]\n", path)
-		case "repart":
-			res, err := bench.RunRepart(cfg)
-			if err != nil {
-				return err
-			}
-			bench.RenderRepart(out, res)
-			path := jsonPath
-			if path == "" {
-				path = "BENCH_repart.json"
-			}
-			if err := bench.WriteRepartJSON(path, res); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "[repartitioning measurements written to %s]\n", path)
 		case "scale":
 			res, err := bench.RunScale(cfg)
 			if err != nil {
 				return err
 			}
 			bench.RenderScale(out, res)
-			path := jsonPath
-			if path == "" {
-				path = "BENCH_scale.json"
-			}
-			if err := bench.WriteScaleJSON(path, res); err != nil {
+			if err := writeJSON(name, jsonPath, func(path string) error { return bench.WriteScaleJSON(path, res) }); err != nil {
 				return err
 			}
-			fmt.Fprintf(os.Stderr, "[scale measurements written to %s]\n", path)
 		case "ablations":
 			sel, err := bench.RunAblationSelectors(cfg)
 			if err != nil {

@@ -45,23 +45,21 @@ type TransportSection struct {
 // combination's own site stores behind loopback TCP servers, and a
 // coordinator over transport clients of them sharing the combination's
 // layout. Nothing is copied — both clusters answer from the same stores —
-// so the only differences from bc.c are that subqueries, updates and
-// migrations cross a real socket, and that a property path over internal
-// properties, which bc.c closes per site in process, is closed at the
-// coordinator. closeAll releases clients and servers.
-func loopbackCluster(bc builtCluster, cfg cluster.Config, reg *obs.Registry) (remote *cluster.Cluster, addrs []string, closeAll func(), err error) {
+// so the only difference from bc.c is that subqueries cross a real socket.
+// closeAll releases clients and servers.
+func loopbackCluster(bc builtCluster, reg *obs.Registry) (remote *cluster.Cluster, closeAll func(), err error) {
 	stores := make([]*store.Store, bc.c.NumSites())
 	for i := range stores {
 		stores[i] = bc.c.Site(i)
 	}
 	addrs, closeSites, err := transport.ServeLoopback(stores, nil)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	clients, err := transport.Connect(addrs, transport.ClientOptions{Obs: reg})
 	if err != nil {
 		closeSites()
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	closeAll = func() {
 		transport.CloseAll(clients)
@@ -69,15 +67,14 @@ func loopbackCluster(bc builtCluster, cfg cluster.Config, reg *obs.Registry) (re
 	}
 	if err := transport.Verify(clients, bc.layout); err != nil {
 		closeAll()
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	cfg.Obs = reg
-	remote, err = cluster.NewWithSites(bc.layout, bc.crossing, cfg, transport.Sites(clients))
+	remote, err = cluster.NewWithSites(bc.layout, bc.crossing, cluster.Config{Obs: reg}, transport.Sites(clients))
 	if err != nil {
 		closeAll()
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	return remote, addrs, closeAll, nil
+	return remote, closeAll, nil
 }
 
 // runTransportCombo re-runs one online combination over loopback TCP with a
@@ -86,7 +83,7 @@ func loopbackCluster(bc builtCluster, cfg cluster.Config, reg *obs.Registry) (re
 func runTransportCombo(bc builtCluster, dataset string, queries []workload.NamedQuery) (TransportCombo, error) {
 	combo := TransportCombo{Dataset: dataset, Strategy: bc.name, Identical: true}
 	reg := obs.NewRegistry()
-	remote, _, closeAll, err := loopbackCluster(bc, cluster.Config{}, reg)
+	remote, closeAll, err := loopbackCluster(bc, reg)
 	if err != nil {
 		return combo, err
 	}

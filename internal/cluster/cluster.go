@@ -350,7 +350,7 @@ func newCoordinator(layout partition.SiteLayout, crossing sparql.CrossingTest, c
 		c.vp, c.crossing = vp, nil
 	} else if crossing == nil {
 		// A plain baseline knows no crossing set. Every edge counts as
-		// crossing for anchors, bind-round narrowing and path locality.
+		// crossing for anchors and bind-round narrowing.
 		c.plain, c.crossing = true, sparql.AllCrossing
 	}
 	if p, ok := layout.(*partition.Partitioning); ok {

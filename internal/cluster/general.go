@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -395,10 +396,10 @@ func dedupTable(t *store.Table) (*store.Table, error) {
 }
 
 // evalPath evaluates a property-path leaf and returns its rows in the
-// canonical sorted order: closures enumerate reach sets in map order, and
-// the in-process per-site union and the coordinator closure would otherwise
-// order identical row sets differently — sorting keeps generalized results
-// bit-identical across runs and transports, like the BGP pipeline.
+// canonical sorted order: closures enumerate reach sets in map order, which
+// would otherwise order identical row sets differently — sorting keeps
+// generalized results bit-identical across runs and transports, like the BGP
+// pipeline.
 func (ge *genExec) evalPath(pp *sparql.PathPattern) (*store.Table, error) {
 	tab, err := ge.evalPathNode(pp)
 	if err != nil {
@@ -410,14 +411,10 @@ func (ge *genExec) evalPath(pp *sparql.PathPattern) (*store.Table, error) {
 
 // evalPathNode evaluates a property-path leaf. Single-IRI paths lower to
 // plain triple patterns and alternatives to unions of their arms, so only
-// modified paths ('?', '*', '+') need closure machinery: when every path
-// property is partition-internal and the sites are in-process, each site's
-// closure is complete on its own (a path over internal edges cannot leave
-// the partition — the same argument as Theorem 5's internal case) and the
-// per-site MatchPath results union directly. Anything else — crossing
-// properties (every property, for a plain baseline), VP layouts, remote
-// sites — goes through the coordinator-side closure over the distributed
-// BGP machinery.
+// modified paths ('?', '*', '+') need closure machinery, and every cluster
+// closes them at the coordinator through its sites (distPath): an
+// in-process cluster sends exactly the site calls its rebuild over remote
+// sites sends.
 func (ge *genExec) evalPathNode(pp *sparql.PathPattern) (*store.Table, error) {
 	switch pp.Path.Kind {
 	case sparql.PathIRI:
@@ -435,73 +432,51 @@ func (ge *genExec) evalPathNode(pp *sparql.PathPattern) (*store.Table, error) {
 		}
 		return unionMerge(tabs)
 	}
-
-	c := ge.c
-	if c.crossing != nil && c.localStores() &&
-		allInternal(pp.Path.Properties(), c.crossing) {
-		t0 := time.Now()
-		tabs := make([]*store.Table, len(c.stores))
-		var err error
-		if stale := c.siteCall(ge.rs, func() {
-			for i, st := range c.stores {
-				if tabs[i], err = st.MatchPath(pp, 0); err != nil {
-					return
-				}
-			}
-		}); stale != nil {
-			return nil, stale
-		}
-		if err != nil {
-			return nil, err
-		}
-		ge.stats.LocalTime += time.Since(t0)
-		return unionTables(tabs)
-	}
-	return ge.evalPathDistributed(pp)
+	return newDistPath(ge, pathBudget).eval(pp)
 }
 
-// localStores reports whether every site is an in-process store the
-// coordinator can evaluate against directly.
-func (c *Cluster) localStores() bool {
-	if len(c.stores) == 0 {
-		return false
-	}
-	for _, st := range c.stores {
-		if st == nil {
-			return false
-		}
-	}
-	return true
+// ErrPathBudget reports that a property-path closure exceeded its work
+// budget (fetched edges, frontier probes and closure expansions). Callers
+// surface it like the oracle's "too large" condition rather than returning
+// a partial relation.
+var ErrPathBudget = errors.New("cluster: path evaluation budget exceeded")
+
+// pathBudget bounds the work of one property-path closure.
+const pathBudget = 1 << 22
+
+// distPath closes one modified path at the coordinator. Bounded endpoints
+// with a flat base (IRIs and alternatives only) expand by iterated frontier
+// exchange: each BFS level becomes one round of single-pattern subqueries —
+// one per (frontier vertex, property) — fanned out through evalPerSub,
+// which batches all of a level's probes per site into the existing v3
+// batch exchange. Everything else fetches each property's edge relation
+// once through the distributed pipeline and closes locally. Semantics
+// (DESIGN.md §15): rel(<p>) is the live edge set of p; '|' is union; '+' is
+// the transitive closure; '?' and '*' additionally admit zero-length
+// matches, which bind a vertex to itself iff it occurs in a live triple
+// (judged against the coordinator graph). Every step charges the shared
+// budget, and exhausting it fails the closure with ErrPathBudget.
+type distPath struct {
+	ge     *genExec
+	budget int
+	fwd    map[string]map[uint32][]uint32 // prop → subject → objects
+	bwd    map[string]map[uint32][]uint32 // prop → object → subjects
 }
 
-// allInternal reports whether no listed property is crossing.
-func allInternal(props []string, crossing sparql.CrossingTest) bool {
-	for _, p := range props {
-		if crossing(p) {
-			return false
-		}
-	}
-	return true
-}
-
-// evalPathDistributed closes a modified path at the coordinator. Bounded
-// endpoints with a flat base (IRIs and alternatives only) expand by
-// iterated frontier exchange: each BFS level becomes one round of
-// single-pattern subqueries — one per (frontier vertex, property) — fanned
-// out through evalPerSub, which batches all of a level's probes per site
-// into the existing v3 batch exchange. Everything else falls back to
-// fetching each property's edge relation once through the distributed
-// pipeline and closing locally. Both share MatchPath's budget and its
-// zero-length rule: a vertex self-matches iff it occurs in a live triple
-// (globally, judged against the coordinator graph).
-func (ge *genExec) evalPathDistributed(pp *sparql.PathPattern) (*store.Table, error) {
-	e := &distPath{
+func newDistPath(ge *genExec, budget int) *distPath {
+	return &distPath{
 		ge:     ge,
-		budget: store.DefaultPathBudget,
+		budget: budget,
 		fwd:    map[string]map[uint32][]uint32{},
 		bwd:    map[string]map[uint32][]uint32{},
 	}
-	g := ge.c.layout.Graph()
+}
+
+// eval returns one row per distinct endpoint binding, with the column
+// conventions of a BGP leaf (variable endpoints only; a fully constant
+// pattern yields a zero-width table whose row count is 0 or 1).
+func (e *distPath) eval(pp *sparql.PathPattern) (*store.Table, error) {
+	g := e.ge.c.layout.Graph()
 	sConst, oConst := !pp.S.IsVar, !pp.O.IsVar
 	var sID, oID uint32
 	var sKnown, oKnown bool
@@ -587,21 +562,10 @@ func (ge *genExec) evalPathDistributed(pp *sparql.PathPattern) (*store.Table, er
 	return out, nil
 }
 
-// distPath is the coordinator-side mirror of the store's pathEval: the same
-// recursive step semantics, with PathIRI steps answered from lazily fetched
-// distributed edge relations and liveness judged against the coordinator
-// graph.
-type distPath struct {
-	ge     *genExec
-	budget int
-	fwd    map[string]map[uint32][]uint32 // prop → subject → objects
-	bwd    map[string]map[uint32][]uint32 // prop → object → subjects
-}
-
 func (e *distPath) charge(n int) error {
 	e.budget -= n
 	if e.budget < 0 {
-		return store.ErrPathBudget
+		return ErrPathBudget
 	}
 	return nil
 }
@@ -654,8 +618,10 @@ func (e *distPath) rootReach(p *sparql.Path, v uint32, fwd bool) (map[uint32]boo
 	return e.reach(p, v, fwd)
 }
 
-// reach mirrors pathEval.reach: the set related to v by the path, with
-// zero-length identity pruned for vertices without live occurrences.
+// reach returns the set of vertices related to v by the path (forward: v
+// as subject; backward: v as object). Zero-length self-matches are pruned
+// when v occurs in no live triple: such a vertex has no edges, so a
+// self-entry can only have come from the identity component.
 func (e *distPath) reach(p *sparql.Path, v uint32, fwd bool) (map[uint32]bool, error) {
 	out := map[uint32]bool{}
 	if err := e.step(p, v, fwd, func(u uint32) { out[u] = true }); err != nil {
@@ -667,7 +633,9 @@ func (e *distPath) reach(p *sparql.Path, v uint32, fwd bool) (map[uint32]bool, e
 	return out, nil
 }
 
-// step mirrors pathEval.step over fetched relations.
+// step enumerates every vertex one rel(p)-application away from v, possibly
+// with repetitions (callers dedup), answering PathIRI steps from fetched
+// relations.
 func (e *distPath) step(p *sparql.Path, v uint32, fwd bool, yield func(uint32)) error {
 	switch p.Kind {
 	case sparql.PathIRI:

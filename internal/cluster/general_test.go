@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"testing"
@@ -269,6 +270,122 @@ func TestGeneralizedSemijoinAndLocalize(t *testing.T) {
 		if !sameRows(nullRows(g, a.Table), nullRows(g, b.Table)) {
 			t.Errorf("semijoin/localize changed %s:\nplain %v\ntuned %v",
 				qs, nullRows(g, a.Table), nullRows(g, b.Table))
+		}
+	}
+}
+
+// pathGraph: a -p-> b -p-> c -p-> d, e -q-> a, a 2-cycle u <-p-> w, and a
+// "ghost" vertex whose one triple is deleted before partitioning, so it is
+// in the dictionary but in no live triple. Returned with a one-site and a
+// three-site layout; the three-site one cuts the chain and the cycle.
+func pathGraph(t *testing.T) (*rdf.Graph, []*partition.Partitioning) {
+	t.Helper()
+	g := rdf.NewGraph()
+	g.AddTriple("a", "p", "b")
+	g.AddTriple("b", "p", "c")
+	g.AddTriple("c", "p", "d")
+	g.AddTriple("e", "q", "a")
+	g.AddTriple("u", "p", "w")
+	g.AddTriple("w", "p", "u")
+	g.AddTriple("ghost", "p", "a")
+	g.Freeze()
+	ghost, _ := g.Vertices.Lookup("ghost")
+	for i, tr := range g.Triples() {
+		if uint32(tr.S) == ghost {
+			g.Delete(int32(i))
+		}
+	}
+	home := map[string]int32{"c": 1, "d": 1, "e": 2, "ghost": 2, "w": 1}
+	one := make([]int32, g.NumVertices())
+	three := make([]int32, g.NumVertices())
+	for v := range three {
+		three[v] = home[g.Vertices.String(uint32(v))]
+	}
+	var out []*partition.Partitioning
+	for k, assign := range map[int][]int32{1: one, 3: three} {
+		p, err := partition.FromAssignment(g, k, assign)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, p)
+	}
+	return g, out
+}
+
+// TestPathSemantics pins the property-path semantics of DESIGN.md §15 on
+// pathGraph, at one and three sites, with each cluster built in process and
+// over recording sites: closures in both directions, alternatives,
+// membership, zero-length matches only for live vertices, unknown terms,
+// and cycles.
+func TestPathSemantics(t *testing.T) {
+	g, layouts := pathGraph(t)
+	cases := []struct {
+		query string
+		want  []string
+	}{
+		{`SELECT * WHERE { <a> <p>+ ?y }`, []string{"[y=b]", "[y=c]", "[y=d]"}},
+		{`SELECT * WHERE { <a> <p>* ?y }`, []string{"[y=a]", "[y=b]", "[y=c]", "[y=d]"}},
+		{`SELECT * WHERE { ?x <p>+ <d> }`, []string{"[x=a]", "[x=b]", "[x=c]"}},
+		{`SELECT * WHERE { ?x <p>|<q> ?y }`, []string{
+			"[x=a y=b]", "[x=b y=c]", "[x=c y=d]", "[x=e y=a]", "[x=u y=w]", "[x=w y=u]"}},
+		{`SELECT * WHERE { <e> (<p>|<q>)+ <d> }`, []string{"[]"}},
+		{`SELECT * WHERE { <d> (<p>|<q>)+ <e> }`, nil},
+		// ghost is in the dictionary but in no live triple; nobody is not
+		// in the dictionary at all.
+		{`SELECT * WHERE { <ghost> <p>* ?y }`, nil},
+		{`SELECT * WHERE { <nobody> <p>* ?y }`, nil},
+		{`SELECT * WHERE { ?x <p>? ?x }`, []string{
+			"[x=a]", "[x=b]", "[x=c]", "[x=d]", "[x=e]", "[x=u]", "[x=w]"}},
+		{`SELECT * WHERE { ?x <nope>+ ?y }`, nil},
+		// The cycle returns to u, so '+' matches u itself.
+		{`SELECT * WHERE { <u> <p>+ ?y }`, []string{"[y=u]", "[y=w]"}},
+	}
+	for _, p := range layouts {
+		local, err := New(p, p.CrossingTest(), Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		remote, _ := recordedCluster(t, p, p.CrossingTest(), Config{})
+		for way, c := range map[string]*Cluster{"in process": local, "over sites": remote} {
+			for _, tc := range cases {
+				res, err := c.Execute(sparql.MustParse(tc.query))
+				if err != nil {
+					t.Fatalf("k=%d %s: %s: %v", p.K(), way, tc.query, err)
+				}
+				if got := nullRows(g, res.Table); !sameRows(got, tc.want) {
+					t.Errorf("k=%d %s: %s\ngot  %v\nwant %v", p.K(), way, tc.query, got, tc.want)
+				}
+			}
+		}
+	}
+}
+
+// TestPathBudgetExhausted runs the coordinator closure with a tiny budget:
+// both the frontier exchange and the relation-fetching fallback fail with
+// ErrPathBudget instead of returning a partial relation.
+func TestPathBudgetExhausted(t *testing.T) {
+	_, layouts := pathGraph(t)
+	for _, p := range layouts {
+		c, err := New(p, p.CrossingTest(), Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ge := &genExec{c: c, ctx: context.Background(), rs: &readState{pinned: true}, stats: &Stats{}}
+		for _, q := range []string{
+			`SELECT * WHERE { <a> <p>+ ?y }`, // frontier exchange
+			`SELECT * WHERE { ?x <p>* ?y }`,  // fetched relation
+		} {
+			pp := sparql.MustParse(q).Where.(*sparql.PathPattern)
+			c.stateMu.RLock()
+			_, small := newDistPath(ge, 2).eval(pp)
+			_, full := newDistPath(ge, pathBudget).eval(pp)
+			c.stateMu.RUnlock()
+			if !errors.Is(small, ErrPathBudget) {
+				t.Errorf("k=%d %s, budget 2: got %v, want ErrPathBudget", p.K(), q, small)
+			}
+			if full != nil {
+				t.Errorf("k=%d %s, default budget: %v", p.K(), q, full)
+			}
 		}
 	}
 }

@@ -382,7 +382,7 @@ func (e *genEval) reach(p *sparql.Path, v uint32, fwd bool) (map[uint32]bool, er
 
 // pathStep enumerates every vertex one rel(p)-application away from v, with
 // repetitions (callers dedup) — the naive scan-everything mirror of the
-// store's indexed pathEval.
+// coordinator's path closure (cluster's distPath).
 func (e *genEval) pathStep(p *sparql.Path, v uint32, fwd bool, yield func(uint32)) error {
 	switch p.Kind {
 	case sparql.PathIRI:

@@ -416,7 +416,7 @@ func (e *Env) Check(q *sparql.Query) (CheckResult, error) {
 		} else {
 			r, err = cb.c.Execute(q)
 		}
-		if errors.Is(err, store.ErrPathBudget) {
+		if errors.Is(err, cluster.ErrPathBudget) {
 			// The engine's path closure budget is the analogue of the
 			// oracle's work budget: skip, never compare a partial answer.
 			res.Skipped = true

@@ -114,19 +114,6 @@ func (p *Path) write(b *strings.Builder, parenAlt bool) {
 	}
 }
 
-// Properties returns the distinct property IRIs mentioned in the path,
-// sorted.
-func (p *Path) Properties() []string {
-	seen := map[string]bool{}
-	p.visitIRIs(func(iri string) { seen[iri] = true })
-	out := make([]string, 0, len(seen))
-	for iri := range seen {
-		out = append(out, iri)
-	}
-	sort.Strings(out)
-	return out
-}
-
 func (p *Path) visitIRIs(f func(string)) {
 	switch p.Kind {
 	case PathIRI:

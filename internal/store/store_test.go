@@ -330,3 +330,71 @@ func BenchmarkWriteBlockSnapshot(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(idx)), "ns/triple")
 }
+
+func TestMatchWhereFilterPushdown(t *testing.T) {
+	g := movieGraph()
+	st := fullStore(g)
+	q := sparql.MustParse(`SELECT * WHERE { ?f <starring> ?a }`)
+	e, err := sparql.ParseExpr(`?a != <actor2>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.Filters = []sparql.Expr{e}
+	tab, err := st.Match(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tab.Len() != 1 {
+		t.Fatalf("filtered match = %d rows, want 1", tab.Len())
+	}
+	aCol := tab.Col("a")
+	if got := g.Vertices.String(tab.At(0, aCol)); got != "actor1" {
+		t.Fatalf("filtered match kept %q, want actor1", got)
+	}
+
+	// A filter over a variable the BGP never binds is an error for every
+	// row (comparison) → no matches.
+	q2 := sparql.MustParse(`SELECT * WHERE { ?f <starring> ?a }`)
+	e2, err := sparql.ParseExpr(`?missing = <actor1>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q2.Filters = []sparql.Expr{e2}
+	tab, err = st.Match(q2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tab.Len() != 0 {
+		t.Fatalf("unbound-var filter admitted %d rows, want 0", tab.Len())
+	}
+
+	// ... but !bound(?missing) admits everything.
+	q3 := sparql.MustParse(`SELECT * WHERE { ?f <starring> ?a }`)
+	e3, err := sparql.ParseExpr(`!bound(?missing)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q3.Filters = []sparql.Expr{e3}
+	tab, err = st.Match(q3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tab.Len() != 3 {
+		t.Fatalf("!bound filter kept %d rows, want 3", tab.Len())
+	}
+
+	// Property-variable filters resolve against the property dictionary.
+	q4 := sparql.MustParse(`SELECT * WHERE { <actor1> ?p ?o }`)
+	e4, err := sparql.ParseExpr(`?p = <spouse>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q4.Filters = []sparql.Expr{e4}
+	tab, err = st.Match(q4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tab.Len() != 1 {
+		t.Fatalf("property filter = %d rows, want 1", tab.Len())
+	}
+}

@@ -162,7 +162,7 @@ func (t *Table) NullCols() uint64 {
 // SortRows sorts the rows lexicographically by their cell values. Path
 // closures enumerate reach sets in map order, so their tables are sorted
 // into this canonical order to keep results bit-identical across runs and
-// across execution paths (per-site closure vs coordinator closure).
+// transports.
 func (t *Table) SortRows() {
 	w := len(t.Vars)
 	n := t.Len()
